@@ -34,7 +34,15 @@ pub fn acf_at(x: &[f64], lag: usize) -> f64 {
 /// Partial autocorrelations at lags `1..=max_lag` via the Durbin–Levinson
 /// recursion.
 pub fn pacf(x: &[f64], max_lag: usize) -> Vec<f64> {
-    let rho = acf(x, max_lag);
+    pacf_from_acf(&acf(x, max_lag))
+}
+
+/// Partial autocorrelations at lags `1..=rho.len()` from the
+/// autocorrelations `rho` at lags `1..=rho.len()` (as [`acf`] returns
+/// them). The value at each lag depends only on `rho` up to that lag, so
+/// a prefix of `rho` yields a prefix of the result.
+pub fn pacf_from_acf(rho: &[f64]) -> Vec<f64> {
+    let max_lag = rho.len();
     let mut out = Vec::with_capacity(max_lag);
     if max_lag == 0 {
         return out;
@@ -73,19 +81,30 @@ pub fn diff(x: &[f64]) -> Vec<f64> {
 /// Sum of squares of the first `k` autocorrelations (tsfeatures'
 /// `x_acf10`-style aggregate).
 pub fn sum_sq_acf(x: &[f64], k: usize) -> f64 {
-    acf(x, k).iter().map(|r| r * r).sum()
+    sum_sq(&acf(x, k))
 }
 
 /// Sum of squares of the first `k` partial autocorrelations
 /// (`x_pacf5`-style aggregate).
 pub fn sum_sq_pacf(x: &[f64], k: usize) -> f64 {
-    pacf(x, k).iter().map(|r| r * r).sum()
+    sum_sq(&pacf(x, k))
 }
 
 /// Index (lag) of the first zero crossing of the ACF; `max_lag` if none.
 pub fn first_zero_acf(x: &[f64], max_lag: usize) -> usize {
-    let r = acf(x, max_lag);
-    r.iter().position(|&v| v <= 0.0).map_or(max_lag, |i| i + 1)
+    first_zero_of(&acf(x, max_lag))
+}
+
+/// Lag of the first non-positive autocorrelation in `rho` (lags
+/// `1..=rho.len()`); `rho.len()` if none.
+pub fn first_zero_of(rho: &[f64]) -> usize {
+    rho.iter().position(|&v| v <= 0.0).map_or(rho.len(), |i| i + 1)
+}
+
+/// Sum of squares of `r`, accumulated in order (the `*_acf10` and
+/// `*_pacf5` aggregates over a computed prefix).
+pub fn sum_sq(r: &[f64]) -> f64 {
+    r.iter().map(|r| r * r).sum()
 }
 
 /// Index (lag) of the first local minimum of the ACF; `max_lag` if none.

@@ -9,7 +9,7 @@
 
 use tsdata::stats::{mean, variance};
 
-use crate::acf::acf_at;
+use crate::acf::{acf, sum_sq};
 
 /// A decomposition into aligned trend/seasonal/remainder components.
 #[derive(Debug, Clone)]
@@ -145,8 +145,8 @@ pub fn stl_features(d: &Decomposition) -> StlFeatures {
         (if stt > 1e-12 { sty / stt } else { 0.0 }, if s22 > 1e-12 { s2y / s22 } else { 0.0 })
     };
 
-    let e_acf1 = acf_at(&d.remainder, 1);
-    let e_acf10 = crate::acf::sum_sq_acf(&d.remainder, 10);
+    let e_acf = acf(&d.remainder, 10);
+    let (e_acf1, e_acf10) = (e_acf[0], sum_sq(&e_acf));
 
     let (peak, trough) = if d.period > 1 {
         let phase = &d.seasonal[..d.period.min(d.seasonal.len())];

@@ -233,7 +233,16 @@ pub fn extract(series: &[f64], opts: FeatureOptions) -> FeatureVector {
     let dec = decompose(x, opts.period);
     let stl = stl_features(&dec);
     let holt = holt_parameters(x);
-    let seas_lag = opts.period.unwrap_or(0);
+    let seas_lag = opts.period.filter(|&p| p > 1);
+    // One ACF per series at the longest lag any characteristic reads. A
+    // lag's value does not depend on how many lags are computed, and the
+    // PACF at lag k reads only the ACF up to k, so every characteristic
+    // below gets the same bits as from its own `acf`/`pacf` call.
+    const FIRST_ZERO_LAGS: usize = 100;
+    let x_acf = acf::acf(x, FIRST_ZERO_LAGS.max(seas_lag.unwrap_or(0)));
+    let x_pacf = acf::pacf_from_acf(&x_acf[..5.max(seas_lag.unwrap_or(0))]);
+    let d1_acf = acf::acf(&d1, 10);
+    let d2_acf = acf::acf(&d2, 10);
 
     let level = rolling::max_level_shift(x, w);
     let var_s = rolling::max_var_shift(x, w);
@@ -266,22 +275,22 @@ pub fn extract(series: &[f64], opts: FeatureOptions) -> FeatureVector {
         stl.e_acf10,
         stl.peak,
         stl.trough,
-        acf::acf_at(x, 1),
-        acf::sum_sq_acf(x, 10),
-        acf::acf_at(&d1, 1),
-        acf::sum_sq_acf(&d1, 10),
-        acf::acf_at(&d2, 1),
-        acf::sum_sq_acf(&d2, 10),
-        if seas_lag > 1 { acf::acf_at(x, seas_lag) } else { 0.0 },
-        acf::sum_sq_pacf(x, 5),
-        acf::sum_sq_pacf(&d1, 5),
-        acf::sum_sq_pacf(&d2, 5),
-        if seas_lag > 1 { acf::pacf(x, seas_lag).last().copied().unwrap_or(0.0) } else { 0.0 },
+        x_acf[0],
+        acf::sum_sq(&x_acf[..10]),
+        d1_acf[0],
+        acf::sum_sq(&d1_acf),
+        d2_acf[0],
+        acf::sum_sq(&d2_acf),
+        seas_lag.map_or(0.0, |lag| x_acf[lag - 1]),
+        acf::sum_sq(&x_pacf[..5]),
+        acf::sum_sq(&acf::pacf_from_acf(&d1_acf[..5])),
+        acf::sum_sq(&acf::pacf_from_acf(&d2_acf[..5])),
+        seas_lag.map_or(0.0, |lag| x_pacf[lag - 1]),
         nonlinearity(x),
         arch_stat(x),
         holt.alpha,
         holt.beta,
-        acf::first_zero_acf(x, 100) as f64,
+        acf::first_zero_of(&x_acf[..FIRST_ZERO_LAGS]) as f64,
     ];
     FeatureVector { values }
 }
@@ -352,6 +361,36 @@ mod tests {
         let f_smooth = extract(&smoothed, opts);
         assert!(f_smooth.get("var") < f_raw.get("var"));
         assert!(f_smooth.get("entropy") < f_raw.get("entropy"));
+    }
+
+    #[test]
+    fn shared_acf_matches_per_characteristic_calls() {
+        // Every ACF/PACF characteristic must carry the bits of its own
+        // `acf`/`pacf` call, whatever the longest lag computed.
+        let x = seasonal_noisy(1500, 12);
+        let d1 = acf::diff(&x);
+        let d2 = acf::diff(&d1);
+        for period in [None, Some(1), Some(48), Some(144)] {
+            let f = extract(&x, FeatureOptions { period, ..Default::default() });
+            let seas = period.filter(|&p| p > 1);
+            let want = [
+                ("x_acf1", acf::acf_at(&x, 1)),
+                ("x_acf10", acf::sum_sq_acf(&x, 10)),
+                ("diff1_acf1", acf::acf_at(&d1, 1)),
+                ("diff1_acf10", acf::sum_sq_acf(&d1, 10)),
+                ("diff2_acf1", acf::acf_at(&d2, 1)),
+                ("diff2_acf10", acf::sum_sq_acf(&d2, 10)),
+                ("seas_acf1", seas.map_or(0.0, |p| acf::acf_at(&x, p))),
+                ("x_pacf5", acf::sum_sq_pacf(&x, 5)),
+                ("diff1x_pacf5", acf::sum_sq_pacf(&d1, 5)),
+                ("diff2x_pacf5", acf::sum_sq_pacf(&d2, 5)),
+                ("seas_pacf", seas.map_or(0.0, |p| acf::pacf(&x, p)[p - 1])),
+                ("firstzero_ac", acf::first_zero_acf(&x, 100) as f64),
+            ];
+            for (name, v) in want {
+                assert_eq!(f.get(name).to_bits(), v.to_bits(), "{name} with period {period:?}");
+            }
+        }
     }
 
     #[test]

@@ -4,15 +4,19 @@
 //! stability/lumpiness, crossing points, flat spots, and the Hurst
 //! exponent.
 
+use std::collections::VecDeque;
+
 use tsdata::stats::{mean, variance};
 
-/// A shift statistic: its maximum value and the (0-based) window index at
-/// which it occurs.
+/// A shift statistic: its maximum value and where it occurs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Shift {
     /// Maximum shift observed.
     pub max: f64,
-    /// Index of the window where the maximum occurs.
+    /// 0-based start sample of the first of the two compared windows at
+    /// the maximum. `max_level_shift` and `max_var_shift` compare windows
+    /// at every start; `max_kl_shift` steps its windows by `w/2`, so its
+    /// times are multiples of that step.
     pub time: f64,
 }
 
@@ -67,7 +71,8 @@ pub fn max_kl_shift(x: &[f64], w: usize) -> Shift {
     // Per-window Silverman bandwidth, floored at the grid resolution. A
     // window flattened to a plateau (what PMC produces) gets a near-delta
     // density, which is exactly why the paper finds max_kl_shift so
-    // sensitive to PMC's averaging (§4.3.3).
+    // sensitive to PMC's averaging (§4.3.3). The kernel `exp` stays
+    // scalar libm: a vectorised `exp` rounds differently.
     let bw_floor = (hi - lo) / GRID as f64;
     let density = |window: &[f64]| -> Vec<f64> {
         let sd = variance(window).sqrt();
@@ -87,14 +92,27 @@ pub fn max_kl_shift(x: &[f64], w: usize) -> Shift {
     // O(w·GRID) each); tsfeatures steps by 1, but the maximum over
     // half-overlapping windows converges to the same shift location.
     let step = (w / 2).max(1);
+    // When the step divides `w` (every even `w`), the second window of
+    // comparison `k` is the first window of comparison `k + w/step`: its
+    // density is queued until then, so each distinct window is estimated
+    // once and only the densities still ahead are kept.
+    let ahead = if w.is_multiple_of(step) { w / step } else { 0 };
+    let mut queued: VecDeque<Vec<f64>> = VecDeque::with_capacity(ahead);
     let mut best = ZERO_SHIFT;
     let mut start = 0;
     while start + 2 * w <= x.len() {
-        let p = density(&x[start..start + w]);
+        let p = if ahead > 0 && queued.len() == ahead {
+            queued.pop_front().expect("`ahead` densities are queued")
+        } else {
+            density(&x[start..start + w])
+        };
         let q = density(&x[start + w..start + 2 * w]);
         let kl: f64 = p.iter().zip(&q).map(|(&pi, &qi)| pi * (pi / qi).ln()).sum();
         if kl > best.max {
             best = Shift { max: kl, time: start as f64 };
+        }
+        if ahead > 0 {
+            queued.push_back(q);
         }
         start += step;
     }
@@ -265,6 +283,90 @@ mod tests {
         assert_eq!(max_level_shift(&[1.0, 2.0], 5), ZERO_SHIFT);
         assert_eq!(max_var_shift(&[], 5), ZERO_SHIFT);
         assert_eq!(max_kl_shift(&[1.0], 5), ZERO_SHIFT);
+    }
+
+    /// The per-comparison computation `max_kl_shift` must reproduce bit for
+    /// bit: both densities of every comparison computed afresh.
+    fn kl_shift_reference(x: &[f64], w: usize) -> Shift {
+        const GRID: usize = 100;
+        const FLOOR: f64 = 1e-6;
+        if x.len() < 2 * w || w == 0 {
+            return ZERO_SHIFT;
+        }
+        let lo = x.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = x.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        if !(hi - lo).is_finite() || hi - lo < 1e-12 {
+            return ZERO_SHIFT;
+        }
+        let grid: Vec<f64> =
+            (0..GRID).map(|i| lo + (hi - lo) * i as f64 / (GRID - 1) as f64).collect();
+        let bw_floor = (hi - lo) / GRID as f64;
+        let density = |window: &[f64]| -> Vec<f64> {
+            let sd = variance(window).sqrt();
+            let bw = (1.06 * sd * (window.len() as f64).powf(-0.2)).max(bw_floor);
+            let mut d: Vec<f64> = grid
+                .iter()
+                .map(|&g| {
+                    window.iter().map(|&v| (-0.5 * ((g - v) / bw).powi(2)).exp()).sum::<f64>()
+                })
+                .collect();
+            let total: f64 = d.iter().sum::<f64>().max(1e-300);
+            for v in d.iter_mut() {
+                *v = (*v / total).max(FLOOR);
+            }
+            d
+        };
+        let step = (w / 2).max(1);
+        let mut best = ZERO_SHIFT;
+        let mut start = 0;
+        while start + 2 * w <= x.len() {
+            let p = density(&x[start..start + w]);
+            let q = density(&x[start + w..start + 2 * w]);
+            let kl: f64 = p.iter().zip(&q).map(|(&pi, &qi)| pi * (pi / qi).ln()).sum();
+            if kl > best.max {
+                best = Shift { max: kl, time: start as f64 };
+            }
+            start += step;
+        }
+        best
+    }
+
+    fn assert_same_shift(got: Shift, want: Shift, what: &str) {
+        assert_eq!(got.max.to_bits(), want.max.to_bits(), "{what}: {got:?} vs {want:?}");
+        assert_eq!(got.time.to_bits(), want.time.to_bits(), "{what}: {got:?} vs {want:?}");
+    }
+
+    #[test]
+    fn kl_shift_matches_per_comparison_reference() {
+        let mut stepped = noise(2000, 11);
+        for v in stepped[1200..].iter_mut() {
+            *v = *v * 3.0 + 1.0;
+        }
+        let mut plateaus = noise(700, 12);
+        for chunk in plateaus.chunks_mut(40).skip(3) {
+            let m = mean(chunk);
+            chunk.fill(m);
+        }
+        for (name, x) in [("stepped", &stepped), ("plateaus", &plateaus)] {
+            // Even widths reuse densities; odd widths above 3 cannot (the
+            // step does not divide w); 1 and 3 reuse with step 1.
+            for w in [1, 2, 3, 4, 5, 7, 10, 48, 49, 96, 101] {
+                assert_same_shift(
+                    max_kl_shift(x, w),
+                    kl_shift_reference(x, w),
+                    &format!("{name} w={w}"),
+                );
+            }
+        }
+        // Shorter than 2w, exactly 2w, and one comparison past it.
+        let short = noise(120, 13);
+        for w in [48, 59, 60, 61, 100] {
+            assert_same_shift(
+                max_kl_shift(&short, w),
+                kl_shift_reference(&short, w),
+                &format!("short w={w}"),
+            );
+        }
     }
 
     #[test]

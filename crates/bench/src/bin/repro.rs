@@ -197,6 +197,9 @@ fn main() {
             }
             write("fig4_points.csv", fig4);
         }
+        if let Some(ch) = &chars {
+            write("characteristics.csv", evalcore::results::characteristics_csv(&ch.rows));
+        }
         if let Some(grid) = &retrain {
             write("retrain.csv", evalcore::results::forecast_csv(&grid.records));
         }

@@ -2,12 +2,14 @@
 //! plus the structured failure bookkeeping that lets a partial grid
 //! (some tasks failed or panicked) still produce a report.
 
+use analysis::features::FEATURE_NAMES;
 use compression::Method;
 use forecast::model::ModelKind;
 use tsdata::datasets::DatasetKind;
 use tsdata::metrics::MetricSet;
 
 use crate::engine::TaskCoord;
+use crate::experiments::characteristics_exp::CharRow;
 
 /// Compression-side measurements for one `(dataset, method, ε)` cell
 /// (Figures 2–3, Table 3 inputs).
@@ -203,6 +205,26 @@ pub fn forecast_csv(records: &[ForecastRecord]) -> String {
     s
 }
 
+/// CSV serialization of characteristics rows: the 42 differences
+/// (decompressed − original) and the cell's mean TFE. Numbers print with
+/// `{:?}`, the shortest form that parses back to the same bits.
+pub fn characteristics_csv(rows: &[CharRow]) -> String {
+    let mut s = String::from("dataset,method,epsilon");
+    for name in FEATURE_NAMES {
+        s.push(',');
+        s.push_str(name);
+    }
+    s.push_str(",tfe\n");
+    for r in rows {
+        s.push_str(&format!("{},{},{:?}", r.dataset.name(), r.method.name(), r.epsilon));
+        for d in r.diffs {
+            s.push_str(&format!(",{d:?}"));
+        }
+        s.push_str(&format!(",{:?}\n", r.tfe));
+    }
+    s
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -258,5 +280,27 @@ mod tests {
         let fcsv = forecast_csv(&[rec(7, 0.25)]);
         assert!(fcsv.contains("ETTm1,Arima,PMC,0.1,7,"));
         assert_eq!(fcsv.lines().count(), 2);
+        let mut diffs = [0.0; analysis::features::NUM_FEATURES];
+        diffs[0] = 0.1 + 0.2;
+        diffs[41] = -1e-300;
+        let row = CharRow {
+            dataset: DatasetKind::ETTm1,
+            method: Method::Sz,
+            epsilon: 0.05,
+            diffs,
+            rel_diffs: diffs,
+            tfe: 1.0 / 3.0,
+        };
+        let chcsv = characteristics_csv(&[row]);
+        let mut lines = chcsv.lines();
+        let header: Vec<&str> = lines.next().expect("header").split(',').collect();
+        let fields: Vec<&str> = lines.next().expect("row").split(',').collect();
+        assert_eq!(header.len(), 3 + analysis::features::NUM_FEATURES + 1);
+        assert_eq!(fields.len(), header.len());
+        assert_eq!(&fields[..3], ["ETTm1", "SZ", "0.05"]);
+        // Round-trip: every number parses back to the same bits.
+        assert_eq!(fields[3].parse::<f64>().unwrap().to_bits(), (0.1f64 + 0.2).to_bits());
+        assert_eq!(fields[44].parse::<f64>().unwrap().to_bits(), (-1e-300f64).to_bits());
+        assert_eq!(fields[45].parse::<f64>().unwrap().to_bits(), (1.0f64 / 3.0).to_bits());
     }
 }

@@ -65,13 +65,29 @@ impl GbmRegressor {
         let n = targets.len();
         assert!(n > 0, "empty training set");
         assert_eq!(features.len(), n * num_features, "feature matrix shape");
+        let binned = config.bins.map(|b| BinnedFeatures::build(features, n, num_features, b));
+        Self::boost(features, targets, num_features, binned.as_ref(), config)
+    }
+
+    /// The boosting loop of [`GbmRegressor::fit`] on features already
+    /// binned per `config.bins` (`binned` is `None` exactly when
+    /// `config.bins` is), so boosters that share a feature matrix bin it
+    /// once.
+    fn boost(
+        features: &[f64],
+        targets: &[f64],
+        num_features: usize,
+        binned: Option<&BinnedFeatures>,
+        config: GbmConfig,
+    ) -> Self {
+        debug_assert_eq!(binned.is_some(), config.bins.is_some(), "binning follows config.bins");
+        let n = targets.len();
         let base = targets.iter().sum::<f64>() / n as f64;
         let mut pred = vec![base; n];
         let mut trees = Vec::with_capacity(config.n_estimators);
         let mut rng = StdRng::seed_from_u64(config.seed);
         let mut indices: Vec<usize> = (0..n).collect();
         let sub_n = ((n as f64 * config.subsample).round() as usize).clamp(1, n);
-        let binned = config.bins.map(|b| BinnedFeatures::build(features, n, num_features, b));
         for _ in 0..config.n_estimators {
             // Negative gradient of squared loss = residual.
             let residuals: Vec<f64> = targets.iter().zip(&pred).map(|(t, p)| t - p).collect();
@@ -81,7 +97,7 @@ impl GbmRegressor {
             } else {
                 &indices
             };
-            let tree = match &binned {
+            let tree = match binned {
                 Some(binned) => {
                     RegressionTree::fit_binned(binned, &residuals, chosen.to_vec(), config.tree)
                 }
@@ -236,16 +252,26 @@ impl Forecaster for GBoost {
                 let targets: Vec<f64> = starts.iter().map(|&s| y[s + k]).collect();
                 vec![GbmRegressor::fit(&features, &targets, k, self.config.gbm)]
             }
-            MultiStep::Direct => (0..h)
-                .map(|step| {
-                    let targets: Vec<f64> = starts.iter().map(|&s| y[s + k + step]).collect();
-                    let cfg = GbmConfig {
-                        seed: self.config.gbm.seed.wrapping_add(step as u64),
-                        ..self.config.gbm
-                    };
-                    GbmRegressor::fit(&features, &targets, k, cfg)
-                })
-                .collect(),
+            MultiStep::Direct => {
+                // Every step's booster trains on the same lag matrix: bin
+                // it once. Each fit matches `GbmRegressor::fit`, which
+                // would build the identical bins itself.
+                let binned = self
+                    .config
+                    .gbm
+                    .bins
+                    .map(|b| BinnedFeatures::build(&features, starts.len(), k, b));
+                (0..h)
+                    .map(|step| {
+                        let targets: Vec<f64> = starts.iter().map(|&s| y[s + k + step]).collect();
+                        let cfg = GbmConfig {
+                            seed: self.config.gbm.seed.wrapping_add(step as u64),
+                            ..self.config.gbm
+                        };
+                        GbmRegressor::boost(&features, &targets, k, binned.as_ref(), cfg)
+                    })
+                    .collect()
+            }
         };
         self.scaler = Some(scaler);
         Ok(())
@@ -523,6 +549,28 @@ mod tests {
         );
         assert_eq!(gbm.predict(&[2.0]), 20.0);
         assert!(gbm.trees().is_empty());
+    }
+
+    #[test]
+    fn shared_bins_match_per_fit_binning_bit_for_bit() {
+        // Boosters sharing one BinnedFeatures (the Direct strategy) must
+        // equal `GbmRegressor::fit`, which bins for itself.
+        let (n, nf) = (240, 6);
+        let features: Vec<f64> = (0..n * nf).map(|i| ((i * 37) % 101) as f64 * 0.1).collect();
+        let binned = BinnedFeatures::build(&features, n, nf, 64);
+        for step in 0..3u64 {
+            let targets: Vec<f64> =
+                (0..n).map(|r| (features[r * nf + step as usize] * 0.7).sin()).collect();
+            let cfg =
+                GbmConfig { n_estimators: 15, subsample: 0.8, seed: step, ..Default::default() };
+            let shared = GbmRegressor::boost(&features, &targets, nf, Some(&binned), cfg);
+            let own = GbmRegressor::fit(&features, &targets, nf, cfg);
+            assert_eq!(shared.base().to_bits(), own.base().to_bits());
+            assert_eq!(shared.trees().len(), own.trees().len());
+            for (a, b) in shared.trees().iter().zip(own.trees()) {
+                assert_eq!(a.nodes(), b.nodes(), "step {step}");
+            }
+        }
     }
 
     #[test]

@@ -53,6 +53,10 @@ pub struct BinnedFeatures {
     /// Split thresholds: `thresholds[f][b]` separates bins `<= b` from
     /// `> b` in original feature units.
     thresholds: Vec<Vec<f64>>,
+    /// `offsets[f]` is feature `f`'s first bin in one flat all-feature
+    /// histogram; `offsets[f + 1] - offsets[f]` is its bin count and
+    /// `offsets[self.f]` the histogram's length.
+    offsets: Vec<usize>,
     n: usize,
     f: usize,
 }
@@ -90,7 +94,13 @@ impl BinnedFeatures {
                 codes[r * f + feat] = cuts.partition_point(|&c| c <= v) as u16;
             }
         }
-        BinnedFeatures { codes, thresholds, n, f }
+        let offsets = std::iter::once(0)
+            .chain(thresholds.iter().scan(0, |end, cuts| {
+                *end += cuts.len() + 1;
+                Some(*end)
+            }))
+            .collect();
+        BinnedFeatures { codes, thresholds, offsets, n, f }
     }
 
     /// Number of samples.
@@ -101,6 +111,39 @@ impl BinnedFeatures {
     /// Number of features.
     pub fn num_features(&self) -> usize {
         self.f
+    }
+}
+
+/// Per-bin target sums and sample counts of one node for every feature,
+/// laid out by [`BinnedFeatures`]' offsets. Allocated once per tree and
+/// refilled at each node.
+struct Histogram {
+    sum: Vec<f64>,
+    cnt: Vec<u32>,
+}
+
+impl Histogram {
+    fn new(binned: &BinnedFeatures) -> Self {
+        let len = binned.offsets[binned.f];
+        Histogram { sum: vec![0.0; len], cnt: vec![0; len] }
+    }
+
+    /// Builds every feature's histogram over `indices` in one row-major
+    /// pass over the codes. Each bin still receives its targets in
+    /// `indices` order, so its sum has the same bits as a per-feature
+    /// column pass would give.
+    fn fill(&mut self, binned: &BinnedFeatures, targets: &[f64], indices: &[usize]) {
+        self.sum.fill(0.0);
+        self.cnt.fill(0);
+        for &i in indices {
+            let t = targets[i];
+            let row = &binned.codes[i * binned.f..(i + 1) * binned.f];
+            for (&offset, &code) in binned.offsets.iter().zip(row) {
+                let slot = offset + code as usize;
+                self.sum[slot] += t;
+                self.cnt[slot] += 1;
+            }
+        }
     }
 }
 
@@ -224,7 +267,8 @@ impl RegressionTree {
         assert_eq!(targets.len(), binned.n, "targets/sample count mismatch");
         assert!(!indices.is_empty(), "empty index set");
         let mut tree = RegressionTree { nodes: Vec::new(), num_features: binned.f };
-        tree.grow_binned(binned, targets, indices, 0, config);
+        let mut hist = Histogram::new(binned);
+        tree.grow_binned(binned, targets, indices, 0, config, &mut hist);
         tree
     }
 
@@ -235,6 +279,7 @@ impl RegressionTree {
         indices: Vec<usize>,
         depth: usize,
         config: TreeConfig,
+        hist: &mut Histogram,
     ) -> usize {
         let n = indices.len();
         let sum: f64 = indices.iter().map(|&i| targets[i]).sum();
@@ -243,30 +288,21 @@ impl RegressionTree {
             self.nodes.push(Node::Leaf { value: mean, cover: n as f64 });
             return self.nodes.len() - 1;
         }
+        hist.fill(binned, targets, &indices);
         // Gain = SSE(parent) - SSE(children); the squared-target terms
         // cancel, so only the per-side sums and counts are needed.
         let mut best: Option<(f64, usize, u16)> = None; // (gain, feature, bin)
-                                                        // Histogram scratch reused per feature.
-        let max_bins = binned.thresholds.iter().map(|t| t.len() + 1).max().unwrap_or(1);
-        let mut bin_sum = vec![0.0f64; max_bins];
-        let mut bin_cnt = vec![0usize; max_bins];
         for feat in 0..binned.f {
-            let nbins = binned.thresholds[feat].len() + 1;
-            if nbins < 2 {
+            let bins = binned.offsets[feat]..binned.offsets[feat + 1];
+            if bins.len() < 2 {
                 continue;
             }
-            bin_sum[..nbins].fill(0.0);
-            bin_cnt[..nbins].fill(0);
-            for &i in &indices {
-                let b = binned.codes[i * binned.f + feat] as usize;
-                bin_sum[b] += targets[i];
-                bin_cnt[b] += 1;
-            }
+            let (bin_sum, bin_cnt) = (&hist.sum[bins.clone()], &hist.cnt[bins.clone()]);
             let mut left_sum = 0.0;
             let mut left_cnt = 0usize;
-            for b in 0..nbins - 1 {
+            for b in 0..bins.len() - 1 {
                 left_sum += bin_sum[b];
-                left_cnt += bin_cnt[b];
+                left_cnt += bin_cnt[b] as usize;
                 let right_cnt = n - left_cnt;
                 if left_cnt < config.min_samples_leaf || right_cnt < config.min_samples_leaf {
                     continue;
@@ -290,8 +326,8 @@ impl RegressionTree {
             indices.into_iter().partition(|&i| binned.codes[i * binned.f + feature] <= bin);
         let slot = self.nodes.len();
         self.nodes.push(Node::Leaf { value: mean, cover: n as f64 }); // placeholder
-        let left = self.grow_binned(binned, targets, left_idx, depth + 1, config);
-        let right = self.grow_binned(binned, targets, right_idx, depth + 1, config);
+        let left = self.grow_binned(binned, targets, left_idx, depth + 1, config, hist);
+        let right = self.grow_binned(binned, targets, right_idx, depth + 1, config, hist);
         self.nodes[slot] = Node::Split { feature, threshold, left, right, cover: n as f64 };
         slot
     }
@@ -484,6 +520,146 @@ mod tests {
             TreeConfig { max_depth: 3, min_samples_leaf: 1 },
         );
         assert_eq!(t.predict(&[2.0]), 1.0);
+    }
+
+    /// The per-feature, column-order histogram split search that
+    /// `fit_binned` must reproduce bit for bit; returns the node arena.
+    fn column_order_reference(
+        binned: &BinnedFeatures,
+        targets: &[f64],
+        indices: Vec<usize>,
+        config: TreeConfig,
+    ) -> Vec<Node> {
+        fn grow(
+            nodes: &mut Vec<Node>,
+            binned: &BinnedFeatures,
+            targets: &[f64],
+            indices: Vec<usize>,
+            depth: usize,
+            config: TreeConfig,
+        ) -> usize {
+            let n = indices.len();
+            let sum: f64 = indices.iter().map(|&i| targets[i]).sum();
+            let mean = sum / n as f64;
+            if depth >= config.max_depth || n < 2 * config.min_samples_leaf {
+                nodes.push(Node::Leaf { value: mean, cover: n as f64 });
+                return nodes.len() - 1;
+            }
+            let mut best: Option<(f64, usize, u16)> = None;
+            let max_bins = binned.thresholds.iter().map(|t| t.len() + 1).max().unwrap_or(1);
+            let mut bin_sum = vec![0.0f64; max_bins];
+            let mut bin_cnt = vec![0usize; max_bins];
+            for feat in 0..binned.f {
+                let nbins = binned.thresholds[feat].len() + 1;
+                if nbins < 2 {
+                    continue;
+                }
+                bin_sum[..nbins].fill(0.0);
+                bin_cnt[..nbins].fill(0);
+                for &i in &indices {
+                    let b = binned.codes[i * binned.f + feat] as usize;
+                    bin_sum[b] += targets[i];
+                    bin_cnt[b] += 1;
+                }
+                let mut left_sum = 0.0;
+                let mut left_cnt = 0usize;
+                for b in 0..nbins - 1 {
+                    left_sum += bin_sum[b];
+                    left_cnt += bin_cnt[b];
+                    let right_cnt = n - left_cnt;
+                    if left_cnt < config.min_samples_leaf || right_cnt < config.min_samples_leaf {
+                        continue;
+                    }
+                    let right_sum = sum - left_sum;
+                    let gain = left_sum * left_sum / left_cnt as f64
+                        + right_sum * right_sum / right_cnt as f64
+                        - sum * sum / n as f64;
+                    if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.0) {
+                        best = Some((gain, feat, b as u16));
+                    }
+                }
+            }
+            let Some((_, feature, bin)) = best else {
+                nodes.push(Node::Leaf { value: mean, cover: n as f64 });
+                return nodes.len() - 1;
+            };
+            let threshold = binned.thresholds[feature][bin as usize];
+            let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
+                indices.into_iter().partition(|&i| binned.codes[i * binned.f + feature] <= bin);
+            let slot = nodes.len();
+            nodes.push(Node::Leaf { value: mean, cover: n as f64 });
+            let left = grow(nodes, binned, targets, left_idx, depth + 1, config);
+            let right = grow(nodes, binned, targets, right_idx, depth + 1, config);
+            nodes[slot] = Node::Split { feature, threshold, left, right, cover: n as f64 };
+            slot
+        }
+        let mut nodes = Vec::new();
+        grow(&mut nodes, binned, targets, indices, 0, config);
+        nodes
+    }
+
+    /// A node as bit patterns, so `-0.0`/`0.0` or NaN payloads cannot
+    /// compare equal by accident.
+    fn node_bits(node: &Node) -> (u8, u64, u64, usize, usize, u64) {
+        match *node {
+            Node::Leaf { value, cover } => (0, value.to_bits(), 0, 0, 0, cover.to_bits()),
+            Node::Split { feature, threshold, left, right, cover } => {
+                (1, feature as u64, threshold.to_bits(), left, right, cover.to_bits())
+            }
+        }
+    }
+
+    #[test]
+    fn binned_fit_matches_column_order_reference_bit_for_bit() {
+        let mut state = 0x5EEDu64;
+        let mut rand = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let (n, nf) = (300, 9);
+        let mut x = vec![0.0; n * nf];
+        let mut y = vec![0.0; n];
+        for r in 0..n {
+            for f in 0..nf {
+                x[r * nf + f] = match f {
+                    0 => 1.5,                  // constant: one bin
+                    1 => (r % 2) as f64,       // two bins
+                    2 => ((r * 7) % 5) as f64, // few distinct values
+                    _ => rand() * (f as f64),  // quantile-binned
+                };
+            }
+            y[r] = x[r * nf + 3] * 2.0 - x[r * nf + 1] + rand() * 0.3;
+        }
+        let cfgs = [
+            TreeConfig { max_depth: 3, min_samples_leaf: 5 },
+            TreeConfig { max_depth: 6, min_samples_leaf: 1 },
+        ];
+        for max_bins in [2, 16, 64] {
+            let binned = BinnedFeatures::build(&x, n, nf, max_bins);
+            assert_eq!(binned.thresholds[0].len(), 0, "constant feature has one bin");
+            let mut subsample: Vec<usize> = (0..n).filter(|i| (i * 31) % 7 < 5).collect();
+            subsample.reverse(); // unsorted order, like a shuffled subsample
+            let sets = [(0..n).collect::<Vec<usize>>(), subsample, vec![4, 9, 2, 250, 77, 13]];
+            for cfg in cfgs {
+                for idx in &sets {
+                    let got = RegressionTree::fit_binned(&binned, &y, idx.clone(), cfg);
+                    let want = column_order_reference(&binned, &y, idx.clone(), cfg);
+                    assert!(idx.len() < 10 || got.nodes().len() > 1, "the data must split");
+                    let got: Vec<_> = got.nodes().iter().map(node_bits).collect();
+                    let want: Vec<_> = want.iter().map(node_bits).collect();
+                    assert_eq!(got, want, "bins {max_bins} cfg {cfg:?} {} samples", idx.len());
+                }
+            }
+        }
+        // Every feature below 2 bins: the root stays a leaf.
+        let flat = vec![3.0; 40];
+        let binned = BinnedFeatures::build(&flat, 20, 2, 64);
+        let t = RegressionTree::fit_binned(&binned, &y[..20], (0..20).collect(), cfgs[1]);
+        let want = column_order_reference(&binned, &y[..20], (0..20).collect(), cfgs[1]);
+        assert_eq!(t.nodes().len(), 1);
+        assert_eq!(node_bits(&t.nodes()[0]), node_bits(&want[0]));
     }
 
     #[test]
