@@ -79,6 +79,18 @@ fn bench_codecs(c: &mut Criterion, len: usize) {
         b.iter(|| deflate::decompress(black_box(&frame)).expect("decodes"))
     });
     group.finish();
+
+    // The container's slowest real input: a PMC segment stream at the
+    // tightest bound, many short near-repeats that keep the chain walk
+    // long. Inflating the frame recovers exactly the bytes PMC deflated.
+    let pmc_stream =
+        deflate::decompress(&Pmc.compress(&series, 0.01).expect("encodes").bytes).expect("decodes");
+    let mut group = c.benchmark_group("deflate");
+    group.throughput(Throughput::Bytes(pmc_stream.len() as u64));
+    group.bench_function("encode_pmc_stream", |b| {
+        b.iter(|| deflate::compress(black_box(&pmc_stream)))
+    });
+    group.finish();
 }
 
 /// Blocked timestamp stream decode vs the varbit (Gorilla-style

@@ -9,6 +9,19 @@
 //! is our own (mode byte + length), not RFC 1951 bit-exact, but the
 //! compression behaviour — LZ77 window, 3..258 match lengths, Huffman over
 //! the DEFLATE alphabets — matches.
+//!
+//! The match finder's parameters define the output: the hash
+//! (`HASH_BITS`), the chain cap (`CHAIN_LIMIT` candidates per position),
+//! the 32 KiB window and the greedy policy (take the first longest match on
+//! the chain). Every CR in the paper's figures sits on these bytes, so they
+//! stay fixed. The finder's speed-ups — rejecting a candidate that cannot
+//! beat the current best, comparing eight bytes at a time, a 32 KiB ring for
+//! the chain links, packed `u32` tokens, and table lookups for the length
+//! and distance symbols — change how fast the same winner is found, never
+//! which candidate wins (DESIGN.md §17). A `#[cfg(test)]` copy of the
+//! straightforward encoder is the oracle they are tested against.
+
+use std::time::Instant;
 
 use crate::bitstream::{BitReader, BitWriter};
 use crate::huffman::{CanonicalCode, HuffmanError};
@@ -129,29 +142,61 @@ const DIST_TABLE: [(u16, u8); 30] = [
     (24577, 13),
 ];
 
+/// `LEN_CODE[len]` is the [`LEN_TABLE`] row of match length `len`: the
+/// last row whose base is `≤ len` (entries below `MIN_MATCH` are unused).
+const LEN_CODE: [u8; MAX_MATCH + 1] = len_codes();
+
+const fn len_codes() -> [u8; MAX_MATCH + 1] {
+    let mut table = [0u8; MAX_MATCH + 1];
+    let mut row = 0;
+    let mut len = MIN_MATCH;
+    while len <= MAX_MATCH {
+        while row + 1 < LEN_TABLE.len() && LEN_TABLE[row + 1].0 as usize <= len {
+            row += 1;
+        }
+        table[len] = row as u8;
+        len += 1;
+    }
+    table
+}
+
 fn length_symbol(len: usize) -> (usize, u16, u8) {
     debug_assert!((MIN_MATCH..=MAX_MATCH).contains(&len));
-    let mut i = LEN_TABLE.len() - 1;
-    while LEN_TABLE[i].0 as usize > len {
-        i -= 1;
-    }
+    let i = LEN_CODE[len] as usize;
     (257 + i, LEN_TABLE[i].0, LEN_TABLE[i].1)
 }
 
+/// Distance codes come in pairs per power of two: for `x = dist - 1 ≥ 4`
+/// with highest set bit `h`, the symbol is `2h` plus the bit below `h`.
 fn distance_symbol(dist: usize) -> (usize, u16, u8) {
     debug_assert!((1..=WINDOW).contains(&dist));
-    let mut i = DIST_TABLE.len() - 1;
-    while DIST_TABLE[i].0 as usize > dist {
-        i -= 1;
-    }
-    (i, DIST_TABLE[i].0, DIST_TABLE[i].1)
+    let x = (dist - 1) as u32;
+    let sym = if x < 4 {
+        x as usize
+    } else {
+        let h = 31 - x.leading_zeros();
+        (2 * h + ((x >> (h - 1)) & 1)) as usize
+    };
+    (sym, DIST_TABLE[sym].0, DIST_TABLE[sym].1)
 }
 
-#[derive(Debug, Clone, Copy)]
-enum Token {
-    Literal(u8),
-    Match { len: usize, dist: usize },
+/// An LZ77 token packed into a `u32`: a literal is its byte value, a match
+/// is `len << 16 | dist`. Every match length is ≥ 3, so a token is a match
+/// exactly when it is ≥ 2^16, and `dist ≤ 32768` fits the low half.
+type Token = u32;
+
+const MATCH_FLOOR: Token = 1 << 16;
+
+fn match_token(len: usize, dist: usize) -> Token {
+    ((len as u32) << 16) | dist as u32
 }
+
+fn unpack_match(t: Token) -> (usize, usize) {
+    ((t >> 16) as usize, (t & 0xFFFF) as usize)
+}
+
+/// Empty-chain marker in `head` and `prev`.
+const NIL: u32 = u32::MAX;
 
 fn hash(data: &[u8], i: usize) -> usize {
     let h = (data[i] as u32)
@@ -161,44 +206,91 @@ fn hash(data: &[u8], i: usize) -> usize {
     (h >> (32 - HASH_BITS)) as usize
 }
 
+fn read_u32(data: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(data[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn read_u64(data: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(data[at..at + 8].try_into().expect("8 bytes"))
+}
+
+/// Whether a candidate at `c` can still beat the best match of `best`
+/// bytes at `i`: a longer match agrees with the input at offset `best`
+/// (and the bytes before it). Necessary, not sufficient, so skipping the
+/// candidates that fail it never changes the winner. Needs
+/// `i + best < data.len()`.
+fn could_beat(data: &[u8], c: usize, i: usize, best: usize) -> bool {
+    if best >= 3 {
+        read_u32(data, c + best - 3) == read_u32(data, i + best - 3)
+    } else {
+        data[c + best] == data[i + best]
+    }
+}
+
+/// Length of the common prefix of `data[c..]` and `data[i..]`, capped at
+/// `limit` (`i + limit ≤ data.len()`, `c < i`). Compares eight bytes at a
+/// time: the first differing byte of two little-endian words is the
+/// lowest nonzero byte of their XOR.
+fn match_len(data: &[u8], c: usize, i: usize, limit: usize) -> usize {
+    let mut l = 0;
+    while l + 8 <= limit {
+        let x = read_u64(data, c + l) ^ read_u64(data, i + l);
+        if x != 0 {
+            return l + (x.trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && data[c + l] == data[i + l] {
+        l += 1;
+    }
+    l
+}
+
 /// Greedy LZ77 tokenization with hash chains.
+///
+/// `prev` is a ring of `WINDOW` slots indexed by `pos & (WINDOW - 1)`. The
+/// walk at `i` reads `prev[c]` only for candidates with `i - c ≤ WINDOW`;
+/// the next position to overwrite that slot is `c + WINDOW ≥ i`, which is
+/// not inserted yet, so every read sees the link `c` itself stored. An
+/// input shorter than the window gets a power-of-two ring of at least `n`
+/// slots, where no two positions share a slot at all. Positions are `u32`:
+/// the frame stores the input length as one.
 fn tokenize(data: &[u8]) -> Vec<Token> {
     let n = data.len();
     // Literal-heavy inputs produce close to one token per byte, matches
     // far fewer; half-and-half keeps reallocation to one doubling.
     let mut tokens = Vec::with_capacity(n / 2 + 16);
     if n < MIN_MATCH + 1 {
-        tokens.extend(data.iter().map(|&b| Token::Literal(b)));
+        tokens.extend(data.iter().map(|&b| b as Token));
         return tokens;
     }
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; n];
-    let mut i = 0;
-    let insert = |head: &mut Vec<usize>, prev: &mut Vec<usize>, data: &[u8], pos: usize| {
-        if pos + MIN_MATCH <= data.len() {
+    let mut head = vec![NIL; 1 << HASH_BITS];
+    // An input shorter than the window needs no more slots than bytes.
+    let ring_mask = n.next_power_of_two().min(WINDOW) - 1;
+    let mut prev = vec![NIL; ring_mask + 1];
+    let insert = |head: &mut [u32], prev: &mut [u32], pos: usize| {
+        if pos + MIN_MATCH <= n {
             let h = hash(data, pos);
-            prev[pos] = head[h];
-            head[h] = pos;
+            prev[pos & ring_mask] = head[h];
+            head[h] = pos as u32;
         }
     };
-    while i < n {
+    let mut i = 0;
+    while i + MIN_MATCH <= n {
+        let h = hash(data, i);
         let mut best_len = 0;
         let mut best_dist = 0;
-        if i + MIN_MATCH <= n {
-            let h = hash(data, i);
-            let mut cand = head[h];
-            let mut chains = 0;
-            let limit = (n - i).min(MAX_MATCH);
-            while cand != usize::MAX && chains < CHAIN_LIMIT {
-                let dist = i - cand;
-                if dist > WINDOW {
-                    break;
-                }
-                // Extend match.
-                let mut l = 0;
-                while l < limit && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
+        let mut cand = head[h];
+        let mut chains = 0;
+        let limit = (n - i).min(MAX_MATCH);
+        while cand != NIL && chains < CHAIN_LIMIT {
+            let c = cand as usize;
+            let dist = i - c;
+            if dist > WINDOW {
+                break;
+            }
+            if could_beat(data, c, i, best_len) {
+                let l = match_len(data, c, i, limit);
                 if l > best_len {
                     best_len = l;
                     best_dist = dist;
@@ -206,40 +298,59 @@ fn tokenize(data: &[u8]) -> Vec<Token> {
                         break;
                     }
                 }
-                cand = prev[cand];
-                chains += 1;
             }
+            cand = prev[c & ring_mask];
+            chains += 1;
         }
+        // Insert `i` under the hash the walk just used.
+        prev[i & ring_mask] = head[h];
+        head[h] = i as u32;
         if best_len >= MIN_MATCH {
-            tokens.push(Token::Match { len: best_len, dist: best_dist });
-            for k in 0..best_len {
-                insert(&mut head, &mut prev, data, i + k);
+            tokens.push(match_token(best_len, best_dist));
+            for k in 1..best_len {
+                insert(&mut head, &mut prev, i + k);
             }
             i += best_len;
         } else {
-            tokens.push(Token::Literal(data[i]));
-            insert(&mut head, &mut prev, data, i);
+            tokens.push(data[i] as Token);
             i += 1;
         }
     }
+    // The last bytes are too few to start a match.
+    tokens.extend(data[i..].iter().map(|&b| b as Token));
     tokens
+}
+
+/// Records one `lossless_seconds{op}` observation when `start` is set,
+/// i.e. when telemetry was enabled at the call's start.
+fn observe_lossless(start: Option<Instant>, op: &str) {
+    if let Some(start) = start {
+        telemetry::observe("lossless_seconds", &[("op", op)], telemetry::secs(start.elapsed()));
+    }
 }
 
 /// Compresses `data`. Falls back to a stored block when entropy coding does
 /// not help (e.g. incompressible input).
 pub fn compress(data: &[u8]) -> Vec<u8> {
+    let start = telemetry::enabled().then(Instant::now);
+    let out = encode(data);
+    observe_lossless(start, "encode");
+    out
+}
+
+fn encode(data: &[u8]) -> Vec<u8> {
     let tokens = tokenize(data);
 
     // Gather symbol frequencies.
     let mut lit_freq = vec![0u64; NUM_LIT_LEN];
     let mut dist_freq = vec![0u64; NUM_DIST];
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => lit_freq[b as usize] += 1,
-            Token::Match { len, dist } => {
-                lit_freq[length_symbol(len).0] += 1;
-                dist_freq[distance_symbol(dist).0] += 1;
-            }
+    for &t in &tokens {
+        if t < MATCH_FLOOR {
+            lit_freq[t as usize] += 1;
+        } else {
+            let (len, dist) = unpack_match(t);
+            lit_freq[length_symbol(len).0] += 1;
+            dist_freq[distance_symbol(dist).0] += 1;
         }
     }
     lit_freq[EOB] += 1;
@@ -259,17 +370,17 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     // Header: code lengths, 4 bits each.
     lit_code.write_lengths4(&mut w);
     dist_code.write_lengths4(&mut w);
-    for t in &tokens {
-        match *t {
-            Token::Literal(b) => lit_code.encode(b as usize, &mut w),
-            Token::Match { len, dist } => {
-                let (sym, base, extra) = length_symbol(len);
-                lit_code.encode(sym, &mut w);
-                w.write_bits((len - base as usize) as u64, extra);
-                let (dsym, dbase, dextra) = distance_symbol(dist);
-                dist_code.encode(dsym, &mut w);
-                w.write_bits((dist - dbase as usize) as u64, dextra);
-            }
+    for &t in &tokens {
+        if t < MATCH_FLOOR {
+            lit_code.encode(t as usize, &mut w);
+        } else {
+            let (len, dist) = unpack_match(t);
+            let (sym, base, extra) = length_symbol(len);
+            lit_code.encode(sym, &mut w);
+            w.write_bits((len - base as usize) as u64, extra);
+            let (dsym, dbase, dextra) = distance_symbol(dist);
+            dist_code.encode(dsym, &mut w);
+            w.write_bits((dist - dbase as usize) as u64, dextra);
         }
     }
     lit_code.encode(EOB, &mut w);
@@ -290,6 +401,13 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 
 /// Decompresses a buffer produced by [`compress`].
 pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DeflateError> {
+    let start = telemetry::enabled().then(Instant::now);
+    let out = decode(input);
+    observe_lossless(start, "decode");
+    out
+}
+
+fn decode(input: &[u8]) -> Result<Vec<u8>, DeflateError> {
     let mut hdr = ByteReader::new(input);
     let mode = hdr.read_u8().map_err(|_| DeflateError::Truncated)?;
     let expected = hdr.read_u32_le().map_err(|_| DeflateError::Truncated)? as usize;
@@ -352,6 +470,159 @@ pub fn decompress(input: &[u8]) -> Result<Vec<u8>, DeflateError> {
 /// Size in bytes after compression (the paper's ".gz file size").
 pub fn compressed_size(data: &[u8]) -> usize {
     compress(data).len()
+}
+
+/// The encoder as it was before the match-finder speed-ups: linear symbol
+/// scans, an `n`-slot chain array, a byte-at-a-time extension of every
+/// chain candidate and enum tokens. Kept as the oracle [`compress`] must
+/// match byte for byte.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    fn length_symbol(len: usize) -> (usize, u16, u8) {
+        let mut i = LEN_TABLE.len() - 1;
+        while LEN_TABLE[i].0 as usize > len {
+            i -= 1;
+        }
+        (257 + i, LEN_TABLE[i].0, LEN_TABLE[i].1)
+    }
+
+    fn distance_symbol(dist: usize) -> (usize, u16, u8) {
+        let mut i = DIST_TABLE.len() - 1;
+        while DIST_TABLE[i].0 as usize > dist {
+            i -= 1;
+        }
+        (i, DIST_TABLE[i].0, DIST_TABLE[i].1)
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum Token {
+        Literal(u8),
+        Match { len: usize, dist: usize },
+    }
+
+    fn tokenize(data: &[u8]) -> Vec<Token> {
+        let n = data.len();
+        let mut tokens = Vec::new();
+        if n < MIN_MATCH + 1 {
+            tokens.extend(data.iter().map(|&b| Token::Literal(b)));
+            return tokens;
+        }
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; n];
+        let insert = |head: &mut Vec<usize>, prev: &mut Vec<usize>, pos: usize| {
+            if pos + MIN_MATCH <= n {
+                let h = hash(data, pos);
+                prev[pos] = head[h];
+                head[h] = pos;
+            }
+        };
+        let mut i = 0;
+        while i < n {
+            let mut best_len = 0;
+            let mut best_dist = 0;
+            if i + MIN_MATCH <= n {
+                let mut cand = head[hash(data, i)];
+                let mut chains = 0;
+                let limit = (n - i).min(MAX_MATCH);
+                while cand != usize::MAX && chains < CHAIN_LIMIT {
+                    let dist = i - cand;
+                    if dist > WINDOW {
+                        break;
+                    }
+                    let mut l = 0;
+                    while l < limit && data[cand + l] == data[i + l] {
+                        l += 1;
+                    }
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = dist;
+                        if l == limit {
+                            break;
+                        }
+                    }
+                    cand = prev[cand];
+                    chains += 1;
+                }
+            }
+            if best_len >= MIN_MATCH {
+                tokens.push(Token::Match { len: best_len, dist: best_dist });
+                for k in 0..best_len {
+                    insert(&mut head, &mut prev, i + k);
+                }
+                i += best_len;
+            } else {
+                tokens.push(Token::Literal(data[i]));
+                insert(&mut head, &mut prev, i);
+                i += 1;
+            }
+        }
+        tokens
+    }
+
+    pub fn compress(data: &[u8]) -> Vec<u8> {
+        let tokens = tokenize(data);
+        let mut lit_freq = vec![0u64; NUM_LIT_LEN];
+        let mut dist_freq = vec![0u64; NUM_DIST];
+        for t in &tokens {
+            match *t {
+                Token::Literal(b) => lit_freq[b as usize] += 1,
+                Token::Match { len, dist } => {
+                    lit_freq[length_symbol(len).0] += 1;
+                    dist_freq[distance_symbol(dist).0] += 1;
+                }
+            }
+        }
+        lit_freq[EOB] += 1;
+        let lit_code = CanonicalCode::from_freqs(&lit_freq).expect("EOB guarantees a symbol");
+        let dist_code = if dist_freq.iter().any(|&f| f > 0) {
+            CanonicalCode::from_freqs(&dist_freq).expect("checked nonzero")
+        } else {
+            let mut f = vec![0u64; NUM_DIST];
+            f[0] = 1;
+            CanonicalCode::from_freqs(&f).expect("one symbol")
+        };
+        let mut w = BitWriter::new();
+        lit_code.write_lengths4(&mut w);
+        dist_code.write_lengths4(&mut w);
+        for t in &tokens {
+            match *t {
+                Token::Literal(b) => lit_code.encode(b as usize, &mut w),
+                Token::Match { len, dist } => {
+                    let (sym, base, extra) = length_symbol(len);
+                    lit_code.encode(sym, &mut w);
+                    w.write_bits((len - base as usize) as u64, extra);
+                    let (dsym, dbase, dextra) = distance_symbol(dist);
+                    dist_code.encode(dsym, &mut w);
+                    w.write_bits((dist - dbase as usize) as u64, dextra);
+                }
+            }
+        }
+        lit_code.encode(EOB, &mut w);
+        let payload = w.into_bytes();
+        let mut out = Vec::new();
+        if payload.len() >= data.len() {
+            out.push(0);
+            out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+            out.extend_from_slice(data);
+        } else {
+            out.push(1);
+            out.extend_from_slice(&(data.len() as u32).to_le_bytes());
+            out.extend_from_slice(&payload);
+        }
+        out
+    }
+
+    #[test]
+    fn symbol_tables_match_linear_scans() {
+        for len in MIN_MATCH..=MAX_MATCH {
+            assert_eq!(super::length_symbol(len), length_symbol(len), "len {len}");
+        }
+        for dist in 1..=WINDOW {
+            assert_eq!(super::distance_symbol(dist), distance_symbol(dist), "dist {dist}");
+        }
+    }
 }
 
 #[cfg(test)]
@@ -452,6 +723,121 @@ mod tests {
     #[test]
     fn bad_mode_rejected() {
         assert_eq!(decompress(&[7, 0, 0, 0, 0]).unwrap_err(), DeflateError::BadMode(7));
+    }
+
+    /// Deterministic xorshift bytes over an alphabet of `alphabet` symbols
+    /// (256 = uniform bytes).
+    fn noise(len: usize, seed: u64, alphabet: u32) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                ((x >> 32) as u32 % alphabet) as u8
+            })
+            .collect()
+    }
+
+    fn assert_matches_reference(data: &[u8]) {
+        let fast = compress(data);
+        assert!(fast == reference::compress(data), "{}-byte input diverged", data.len());
+        assert_eq!(decompress(&fast).unwrap(), data);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn prop_matches_reference_random(seed in proptest::prelude::any::<u64>(), len in 0usize..200_000) {
+            assert_matches_reference(&noise(len, seed, 256));
+        }
+
+        #[test]
+        fn prop_matches_reference_small_alphabet(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..200_000,
+            alphabet in 2u32..=4,
+        ) {
+            assert_matches_reference(&noise(len, seed, alphabet));
+        }
+
+        #[test]
+        fn prop_matches_reference_periodic(
+            pattern in proptest::collection::vec(proptest::prelude::any::<u8>(), 1..400),
+            len in 0usize..200_000,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            // A period with sparse substitutions, so matches end early and
+            // the chain walk has to compare near-ties.
+            let flips = noise(len, seed, 64);
+            let data: Vec<u8> = pattern
+                .iter()
+                .cycle()
+                .zip(&flips)
+                .map(|(&p, &f)| if f == 0 { p ^ 0x5A } else { p })
+                .collect();
+            assert_matches_reference(&data);
+        }
+    }
+
+    #[test]
+    fn edge_lengths_match_reference() {
+        // A 16-symbol alphabet keeps chains sparse enough that the walk
+        // reaches candidates a whole window back, reading their links.
+        for len in (0..=4).chain([5_000, 20_000, 32_767, 32_768, 32_769, 70_000]) {
+            for alphabet in [2, 16, 256] {
+                assert_matches_reference(&noise(len, len as u64 + 7, alphabet));
+            }
+        }
+        // 140 000 bytes: the chain ring wraps four times.
+        let periodic: Vec<u8> = (0..140_000u32).map(|i| (i % 1000 % 251) as u8).collect();
+        assert_matches_reference(&periodic);
+        for run in [257, 258, 259, 516, 517] {
+            let mut data = noise(40, 3, 256);
+            data.extend(std::iter::repeat_n(b'r', run));
+            data.extend(noise(40, 4, 256));
+            data.extend(std::iter::repeat_n(b'r', run));
+            assert_matches_reference(&data);
+        }
+    }
+
+    #[test]
+    fn match_at_exactly_the_window_distance() {
+        // The needle recurs 32768 bytes after its first copy: the farthest
+        // back-reference the window allows. One byte farther, it is out.
+        let needle = b"0123456789abcdefNEEDLE";
+        for (gap, reachable) in [(WINDOW, true), (WINDOW + 1, false)] {
+            let mut data = needle.to_vec();
+            data.extend(noise(gap - needle.len(), 11, 200).iter().map(|b| b + 56));
+            data.extend_from_slice(needle);
+            let found = tokenize(&data)
+                .iter()
+                .any(|&t| t >= MATCH_FLOOR && unpack_match(t) == (needle.len(), gap));
+            assert_eq!(found, reachable, "gap {gap}");
+            assert_matches_reference(&data);
+        }
+    }
+
+    #[test]
+    fn lossless_seconds_observes_both_directions() {
+        let count = |op: &str| -> u64 {
+            telemetry::global()
+                .metrics()
+                .snapshot()
+                .iter()
+                .filter(|m| m.name == "lossless_seconds" && m.labels == [("op".into(), op.into())])
+                .filter_map(|m| m.value.as_histogram_totals())
+                .map(|(n, _)| n)
+                .sum()
+        };
+        // Recording only adds events, so enabling it process-wide cannot
+        // disturb the other tests.
+        telemetry::set_enabled(true);
+        let (enc, dec) = (count("encode"), count("decode"));
+        decompress(&compress(b"abcabcabcabc")).unwrap();
+        assert!(count("encode") > enc);
+        assert!(count("decode") > dec);
     }
 
     #[test]

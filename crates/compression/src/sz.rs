@@ -21,6 +21,8 @@
 //! with short-interval fluctuations (paper Figure 1), and this
 //! implementation reproduces that texture.
 
+use std::sync::LazyLock;
+
 use tsdata::series::RegularTimeSeries;
 
 use crate::bitstream::{BitReader, BitWriter};
@@ -77,59 +79,74 @@ impl Predictor {
     }
 }
 
-/// Encodes one block with the given predictor, returning quantization codes
-/// (`None` = unpredictable) and the reconstructed values.
+/// Estimated coding cost in bits of an escaped (unpredictable) point: the
+/// escape symbol plus the raw f64.
+const ESCAPE_COST: f64 = 72.0;
+
+/// Estimated coding cost in bits of quantization code `m`, by `|m|`:
+/// `2·log2(|m|+2) + 1` models the Huffman length of a centered code.
+static CODE_COST: LazyLock<[f64; RADIUS as usize + 1]> =
+    LazyLock::new(|| std::array::from_fn(|m| 2.0 * ((m as i64 + 2) as f64).log2() + 1.0));
+
+/// One candidate's quantization of a block: a shifted symbol per point
+/// (`m + RADIUS`, or [`ESCAPE`] for an unpredictable point, which keeps its
+/// exact value) and the reconstructed values.
+#[derive(Debug, Default)]
+struct Quantized {
+    syms: Vec<u16>,
+    recon: Vec<f64>,
+}
+
+/// Reusable buffers for [`select_predictor`]: the cheapest candidate so far
+/// and the one being tried. Allocated once per compression call.
+#[derive(Debug, Default)]
+struct Selection {
+    best: Quantized,
+    trial: Quantized,
+}
+
+/// Quantizes `block` with `pred` into `out` and returns its estimated
+/// coding cost, summed point by point in block order.
 fn quantize_block(
     block: &[f64],
     pred: Predictor,
     prev_recon: Option<f64>,
     delta: f64,
-) -> (Vec<Option<i64>>, Vec<f64>) {
-    let mut codes = Vec::with_capacity(block.len());
-    let mut recon = Vec::with_capacity(block.len());
+    out: &mut Quantized,
+) -> f64 {
+    let code_cost = &*CODE_COST;
+    let two_delta = 2.0 * delta;
+    out.syms.clear();
+    out.recon.clear();
+    let mut cost = 0.0;
+    // Lorenzo's prediction: the previous reconstructed value.
+    let mut last = prev_recon.unwrap_or(0.0);
     for (i, &t) in block.iter().enumerate() {
         let p = match pred {
-            Predictor::Lorenzo => {
-                if i > 0 {
-                    recon[i - 1]
-                } else {
-                    prev_recon.unwrap_or(0.0)
-                }
-            }
+            Predictor::Lorenzo => last,
             Predictor::Mean(m) => m,
             Predictor::Linear { a, b } => a + b * i as f64,
         };
         // Range-check before casting: a non-finite quotient (NaN/±inf
         // values from a hostile decode) saturates `as i64` to i64::MIN,
         // whose .abs() overflows.
-        let q = ((t - p) / (2.0 * delta)).round();
+        let q = ((t - p) / two_delta).round();
+        let (mut sym, mut r, mut bits) = (ESCAPE as u16, t, ESCAPE_COST);
         if q.is_finite() && q.abs() <= RADIUS as f64 {
             let m = q as i64;
-            let r = p + 2.0 * delta * m as f64;
+            let rq = p + two_delta * m as f64;
             // Guard against pathological float cancellation: if the
             // reconstruction drifted past the bound, store verbatim.
-            if (r - t).abs() <= delta {
-                codes.push(Some(m));
-                recon.push(r);
-                continue;
+            if (rq - t).abs() <= delta {
+                (sym, r, bits) = ((m + RADIUS) as u16, rq, code_cost[m.unsigned_abs() as usize]);
             }
         }
-        codes.push(None);
-        recon.push(t);
+        cost += bits;
+        out.syms.push(sym);
+        out.recon.push(r);
+        last = r;
     }
-    (codes, recon)
-}
-
-/// Estimated coding cost in bits for a code sequence.
-fn cost(codes: &[Option<i64>]) -> f64 {
-    codes
-        .iter()
-        .map(|c| match c {
-            // ~2·log2(|m|+2) models the Huffman length of a centered code.
-            Some(m) => 2.0 * ((m.abs() + 2) as f64).log2() + 1.0,
-            None => 72.0, // escape symbol + raw f64
-        })
-        .sum()
+    cost
 }
 
 fn fit_linear(block: &[f64]) -> (f64, f64) {
@@ -150,32 +167,33 @@ fn fit_linear(block: &[f64]) -> (f64, f64) {
     (mean_t - b * mean_i, b)
 }
 
-/// Chooses the cheapest predictor for a block (SZ's best-fit selection).
-#[allow(clippy::type_complexity)]
+/// Chooses the cheapest predictor for a block (SZ's best-fit selection),
+/// leaving its quantization in `sel.best`. Candidates are tried in the
+/// order Lorenzo, Mean, Linear; a later one wins only if strictly cheaper.
 fn select_predictor(
     block: &[f64],
     prev_recon: Option<f64>,
     delta: f64,
-) -> (Predictor, Vec<Option<i64>>, Vec<f64>) {
+    sel: &mut Selection,
+) -> Predictor {
     let mean = block.iter().sum::<f64>() / block.len() as f64;
     let (a, b) = fit_linear(block);
     let candidates = [Predictor::Lorenzo, Predictor::Mean(mean), Predictor::Linear { a, b }];
-    let mut best: Option<(f64, Predictor, Vec<Option<i64>>, Vec<f64>)> = None;
+    let mut best: Option<(f64, Predictor)> = None;
     for pred in candidates {
-        let (codes, recon) = quantize_block(block, pred, prev_recon, delta);
         // Coefficient storage counts toward the cost (Lorenzo is free).
         let coeff_bits = match pred {
             Predictor::Lorenzo => 0.0,
             Predictor::Mean(_) => 64.0,
             Predictor::Linear { .. } => 128.0,
         };
-        let c = cost(&codes) + coeff_bits;
-        if best.as_ref().is_none_or(|(bc, ..)| c < *bc) {
-            best = Some((c, pred, codes, recon));
+        let c = quantize_block(block, pred, prev_recon, delta, &mut sel.trial) + coeff_bits;
+        if best.is_none_or(|(bc, _)| c < bc) {
+            best = Some((c, pred));
+            std::mem::swap(&mut sel.best, &mut sel.trial);
         }
     }
-    let (_, pred, codes, recon) = best.expect("three candidates evaluated");
-    (pred, codes, recon)
+    best.expect("three candidates evaluated").1
 }
 
 fn read_bitmap(r: &mut ByteReader<'_>, n: usize, mode: u8) -> Result<Bitset, CodecError> {
@@ -250,12 +268,14 @@ fn compress_impl(
 
     // Encode blocks.
     let mut block_meta: Vec<u8> = Vec::new();
-    let mut all_codes: Vec<Option<i64>> = Vec::with_capacity(logs.len());
+    let mut all_syms: Vec<u16> = Vec::with_capacity(logs.len());
     let mut unpredictable: Vec<f64> = Vec::new();
     let mut prev_recon: Option<f64> = None;
     let mut recon_logs: Vec<f64> = Vec::with_capacity(logs.len());
+    let mut sel = Selection::default();
     for block in logs.chunks(BLOCK_SIZE) {
-        let (pred, codes, recon) = select_predictor(block, prev_recon, delta);
+        let pred = select_predictor(block, prev_recon, delta, &mut sel);
+        let Quantized { syms, recon } = &sel.best;
         block_meta.push(pred.tag());
         match pred {
             Predictor::Lorenzo => {}
@@ -265,16 +285,16 @@ fn compress_impl(
                 block_meta.extend_from_slice(&b.to_le_bytes());
             }
         }
-        for (c, (&t, &r)) in codes.iter().zip(block.iter().zip(&recon)) {
-            if c.is_none() {
+        for (&sym, (&t, &r)) in syms.iter().zip(block.iter().zip(recon)) {
+            if sym == ESCAPE as u16 {
                 // Bitwise so a NaN escape (NaN != NaN) doesn't trip it.
                 debug_assert_eq!(t.to_bits(), r.to_bits());
                 unpredictable.push(t);
             }
         }
         prev_recon = recon.last().copied().or(prev_recon);
-        all_codes.extend_from_slice(&codes);
-        recon_logs.extend_from_slice(&recon);
+        all_syms.extend_from_slice(syms);
+        recon_logs.extend_from_slice(recon);
     }
 
     let num_blocks = logs.len().div_ceil(BLOCK_SIZE);
@@ -283,21 +303,19 @@ fn compress_impl(
 
     if mode == MODE_HUFFMAN {
         // Entropy-code the quantization codes.
-        if !all_codes.is_empty() {
+        if !all_syms.is_empty() {
             let mut freqs = vec![0u64; ALPHABET];
-            for c in &all_codes {
-                let sym = c.map_or(ESCAPE, |m| (m + RADIUS) as usize);
-                freqs[sym] += 1;
+            for &sym in &all_syms {
+                freqs[sym as usize] += 1;
             }
             let code = CanonicalCode::from_freqs(&freqs)
                 .map_err(|e| CodecError::Corrupt(format!("huffman build: {e}")))?;
-            let mut w = BitWriter::with_capacity(ALPHABET * 4 + all_codes.len() * 12);
+            let mut w = BitWriter::with_capacity(ALPHABET * 4 + all_syms.len() * 12);
             for &l in code.lengths() {
                 w.write_bits(l as u64, 4);
             }
-            for c in &all_codes {
-                let sym = c.map_or(ESCAPE, |m| (m + RADIUS) as usize);
-                code.encode(sym, &mut w);
+            for &sym in &all_syms {
+                code.encode(sym as usize, &mut w);
             }
             let payload = w.into_bytes();
             inner.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -310,8 +328,13 @@ fn compress_impl(
         // common case after prediction) in narrow lanes; the escape takes
         // the first value past the zigzagged range. Self-delimiting, so no
         // payload-length prefix.
-        let syms: Vec<u64> =
-            all_codes.iter().map(|c| c.map_or(BLOCKED_ESCAPE, block::zigzag)).collect();
+        let syms: Vec<u64> = all_syms
+            .iter()
+            .map(|&sym| match sym as usize {
+                ESCAPE => BLOCKED_ESCAPE,
+                s => block::zigzag(s as i64 - RADIUS),
+            })
+            .collect();
         inner.extend_from_slice(&block::encode_u64s(&syms));
     }
 
@@ -528,6 +551,87 @@ pub fn constant_runs(values: &[f64]) -> usize {
     1 + values.windows(2).filter(|w| w[0] != w[1]).count()
 }
 
+/// The predictor selection as it was before the fused cost: one
+/// allocating quantize pass per candidate, `Option<i64>` codes and a
+/// separate `log2`-per-code cost pass. Kept as the oracle
+/// [`select_predictor`] must match bit for bit.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    pub(super) fn quantize_block(
+        block: &[f64],
+        pred: Predictor,
+        prev_recon: Option<f64>,
+        delta: f64,
+    ) -> (Vec<Option<i64>>, Vec<f64>) {
+        let mut codes = Vec::with_capacity(block.len());
+        let mut recon = Vec::with_capacity(block.len());
+        for (i, &t) in block.iter().enumerate() {
+            let p = match pred {
+                Predictor::Lorenzo => {
+                    if i > 0 {
+                        recon[i - 1]
+                    } else {
+                        prev_recon.unwrap_or(0.0)
+                    }
+                }
+                Predictor::Mean(m) => m,
+                Predictor::Linear { a, b } => a + b * i as f64,
+            };
+            let q = ((t - p) / (2.0 * delta)).round();
+            if q.is_finite() && q.abs() <= RADIUS as f64 {
+                let m = q as i64;
+                let r = p + 2.0 * delta * m as f64;
+                if (r - t).abs() <= delta {
+                    codes.push(Some(m));
+                    recon.push(r);
+                    continue;
+                }
+            }
+            codes.push(None);
+            recon.push(t);
+        }
+        (codes, recon)
+    }
+
+    pub(super) fn cost(codes: &[Option<i64>]) -> f64 {
+        codes
+            .iter()
+            .map(|c| match c {
+                Some(m) => 2.0 * ((m.abs() + 2) as f64).log2() + 1.0,
+                None => 72.0,
+            })
+            .sum()
+    }
+
+    #[allow(clippy::type_complexity)]
+    pub(super) fn select_predictor(
+        block: &[f64],
+        prev_recon: Option<f64>,
+        delta: f64,
+    ) -> (Predictor, Vec<Option<i64>>, Vec<f64>) {
+        let mean = block.iter().sum::<f64>() / block.len() as f64;
+        let (a, b) = fit_linear(block);
+        let candidates = [Predictor::Lorenzo, Predictor::Mean(mean), Predictor::Linear { a, b }];
+        let mut best: Option<(f64, Predictor, Vec<Option<i64>>, Vec<f64>)> = None;
+        for pred in candidates {
+            let (codes, recon) = quantize_block(block, pred, prev_recon, delta);
+            let coeff_bits = match pred {
+                Predictor::Lorenzo => 0.0,
+                Predictor::Mean(_) => 64.0,
+                Predictor::Linear { .. } => 128.0,
+            };
+            let c = cost(&codes) + coeff_bits;
+            if best.as_ref().is_none_or(|(bc, ..)| c < *bc) {
+                best = Some((c, pred, codes, recon));
+            }
+        }
+        let (_, pred, codes, recon) = best.expect("three candidates evaluated");
+        (pred, codes, recon)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -700,6 +804,125 @@ mod tests {
         };
         assert!(Sz.decompress(&make(0)).is_ok(), "honest in-range code decodes");
         assert!(Sz.decompress(&make(BLOCKED_ESCAPE + 1)).is_err(), "out-of-range code rejected");
+    }
+
+    /// Predictor identity including coefficient bits (NaN-safe).
+    fn pred_bits(p: Predictor) -> (u8, u64, u64) {
+        match p {
+            Predictor::Lorenzo => (0, 0, 0),
+            Predictor::Mean(m) => (1, m.to_bits(), 0),
+            Predictor::Linear { a, b } => (2, a.to_bits(), b.to_bits()),
+        }
+    }
+
+    fn assert_selection_matches_reference(block: &[f64], prev: Option<f64>, delta: f64) {
+        let mut sel = Selection::default();
+        let pred = select_predictor(block, prev, delta, &mut sel);
+        let (rpred, rcodes, rrecon) = reference::select_predictor(block, prev, delta);
+        assert_eq!(pred_bits(pred), pred_bits(rpred), "predictor");
+        let rsyms: Vec<u16> =
+            rcodes.iter().map(|c| c.map_or(ESCAPE as u16, |m| (m + RADIUS) as u16)).collect();
+        assert_eq!(sel.best.syms, rsyms, "codes");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&sel.best.recon), bits(&rrecon), "recon");
+        // Every candidate's fused cost, not just the winner's, is the
+        // reference cost to the bit.
+        let mean = block.iter().sum::<f64>() / block.len() as f64;
+        let (a, b) = fit_linear(block);
+        for pred in [Predictor::Lorenzo, Predictor::Mean(mean), Predictor::Linear { a, b }] {
+            let fused = quantize_block(block, pred, prev, delta, &mut sel.trial);
+            let (rcodes, _) = reference::quantize_block(block, pred, prev, delta);
+            assert_eq!(fused.to_bits(), reference::cost(&rcodes).to_bits(), "{pred:?} cost");
+        }
+    }
+
+    /// A block of log magnitudes from `seed`: a random walk with `spread`
+    /// sized steps, so small spreads quantize near zero and large ones
+    /// overflow the radius; `specials` sprinkles NaN/±inf escapes.
+    fn random_block(seed: u64, len: usize, spread: f64, specials: bool) -> Vec<f64> {
+        let mut x = seed | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut level = (next() % 100) as f64 / 10.0 - 5.0;
+        (0..len)
+            .map(|_| {
+                let r = next();
+                level += ((r >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * spread;
+                match (specials, r % 17) {
+                    (true, 0) => f64::NAN,
+                    (true, 1) => f64::INFINITY,
+                    (true, 2) => f64::NEG_INFINITY,
+                    (true, 3) => level + 1e6,
+                    _ => level,
+                }
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_selection_matches_reference(
+            seed in proptest::prelude::any::<u64>(),
+            len in 1usize..=BLOCK_SIZE,
+            spread_exp in -4i32..4,
+            eps_idx in 0usize..ERROR_BOUND_SAMPLE.len(),
+            prev in proptest::prelude::any::<i16>(),
+            specials in proptest::prelude::any::<bool>(),
+        ) {
+            let block = random_block(seed, len, 10f64.powi(spread_exp), specials);
+            let delta = (1.0 + ERROR_BOUND_SAMPLE[eps_idx]).ln();
+            // The first block of a stream has no previous reconstruction.
+            let prev = (prev % 4 != 0).then_some(prev as f64 / 100.0);
+            assert_selection_matches_reference(&block, prev, delta);
+        }
+    }
+
+    /// Bounds spanning the paper's range plus one tiny and one huge.
+    const ERROR_BOUND_SAMPLE: [f64; 6] = [1e-6, 0.01, 0.1, 0.5, 0.8, 40.0];
+
+    #[test]
+    fn selection_matches_reference_on_edge_blocks() {
+        let delta = (1.1f64).ln();
+        for block in [
+            vec![1.0],
+            vec![f64::NAN],
+            vec![f64::INFINITY, f64::NEG_INFINITY],
+            vec![0.0, 1e9, -1e9, 0.0],
+            vec![2.5; BLOCK_SIZE],
+            (0..BLOCK_SIZE).map(|i| i as f64 * 0.01).collect(),
+            (0..7).map(|i| (i as f64).sin()).collect(),
+        ] {
+            for prev in [None, Some(0.0), Some(-3.5), Some(f64::NAN)] {
+                assert_selection_matches_reference(&block, prev, delta);
+            }
+        }
+    }
+
+    #[test]
+    fn cost_tie_keeps_the_earlier_candidate() {
+        // With 2δ = 1 every residual is an exact integer and every cost an
+        // exact sum. Lorenzo pays 19 (|m| = 510) on all 8 points = 152;
+        // Mean (1000) pays 19 on four points and 3 on four, plus its 64
+        // coefficient bits = 152. The tie goes to Lorenzo, tried first.
+        let block = [490.0, 1000.0, 490.0, 1000.0, 1510.0, 1000.0, 1510.0, 1000.0];
+        let mut sel = Selection::default();
+        let pred = select_predictor(&block, Some(-20.0), 0.5, &mut sel);
+        assert_eq!(pred, Predictor::Lorenzo);
+        assert_selection_matches_reference(&block, Some(-20.0), 0.5);
+    }
+
+    #[test]
+    fn code_cost_table_matches_log2_expression() {
+        for m in -RADIUS..=RADIUS {
+            let direct = 2.0 * ((m.abs() + 2) as f64).log2() + 1.0;
+            assert_eq!(CODE_COST[m.unsigned_abs() as usize].to_bits(), direct.to_bits(), "m {m}");
+        }
     }
 
     #[test]
