@@ -5,12 +5,17 @@
 //! `(dataset, subset, method, ε)`. Without sharing, every task re-compresses
 //! and re-decompresses the same test subset — `models × seeds` redundant
 //! codec passes per cell, which dominates grid wall-clock for the cheap
-//! models. [`TransformCache`] memoizes each transform exactly once behind a
-//! `parking_lot` lock, and [`DatasetCache`] does the same for generated
-//! datasets (series, split, and raw compressed size), so the compression
-//! grid, the Gorilla baseline, and both forecast grids can share one
-//! generation pass. [`GridContext`] bundles both caches with the grid
-//! configuration and is the handle the grid runners thread through.
+//! models. [`TransformCache`] memoizes each split-subset transform exactly
+//! once behind a `parking_lot` lock, and [`DatasetCache`] does the same for
+//! generated datasets (series, split, and raw compressed size), so the
+//! compression grid, the Gorilla baseline, and both forecast grids can
+//! share one generation pass. [`GridContext`] bundles both caches with the
+//! grid configuration and is the handle the grid runners thread through.
+//!
+//! Full-series transforms are computed but never memoized: each one has
+//! exactly one consumer per context (a compression or characteristics
+//! cell), so an entry would never be hit and would only keep its
+//! decompressed series alive until the context drops (DESIGN.md §6).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -136,6 +141,25 @@ pub struct TransformCache {
     slots: RwLock<HashMap<TransformKey, Slot<CachedTransform>>>,
     hits: AtomicUsize,
     misses: AtomicUsize,
+    /// Slots holding a value. A failed computation leaves its slot in the
+    /// map but empty, so the map's size over-counts.
+    filled: AtomicUsize,
+}
+
+/// Runs one transform computation, recording its duration in
+/// `transform_compute_seconds`.
+fn compute_transform<F>(key: TransformKey, compute: F) -> Result<CachedTransform, ScenarioError>
+where
+    F: FnOnce() -> Result<(MultiSeries, FrameStats), ScenarioError>,
+{
+    let start = std::time::Instant::now();
+    let (series, stats) = compute()?;
+    telemetry::observe(
+        "transform_compute_seconds",
+        &[("method", key.method.name())],
+        telemetry::secs(start.elapsed()),
+    );
+    Ok(CachedTransform { series: Arc::new(series), stats })
 }
 
 impl TransformCache {
@@ -165,15 +189,9 @@ impl TransformCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         telemetry::counter_add("transform_cache_misses_total", &[], 1);
-        let start = std::time::Instant::now();
-        let (series, stats) = compute()?;
-        telemetry::observe(
-            "transform_compute_seconds",
-            &[("method", key.method.name())],
-            telemetry::secs(start.elapsed()),
-        );
-        let cached = Arc::new(CachedTransform { series: Arc::new(series), stats });
+        let cached = Arc::new(compute_transform(key, compute)?);
         *guard = Some(cached.clone());
+        self.filled.fetch_add(1, Ordering::Relaxed);
         Ok(cached)
     }
 
@@ -188,14 +206,15 @@ impl TransformCache {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Number of cached entries.
+    /// Number of cached entries. Keys whose computation failed hold no
+    /// entry, even though their slot stays reserved for a retry.
     pub fn len(&self) -> usize {
-        self.slots.read().len()
+        self.filled.load(Ordering::Relaxed)
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.slots.read().is_empty()
+        self.len() == 0
     }
 }
 
@@ -424,10 +443,12 @@ impl GridContext {
         self.try_dataset(kind).expect("dataset generates and splits cleanly")
     }
 
-    /// The transform `T(subset | method, ε)` for a dataset, computed at
-    /// most once per key. [`Subset::Full`] transforms the target channel
-    /// of the whole series (the compression grid's measurement); the
-    /// split subsets transform every channel (the forecast scenarios').
+    /// The transform `T(subset | method, ε)` for a dataset. [`Subset::Full`]
+    /// transforms the target channel of the whole series (the compression
+    /// grid's measurement) and is computed afresh on every call: each
+    /// context asks for a Full key once, so the caller owns the result and
+    /// frees it when done. The split subsets transform every channel (the
+    /// forecast scenarios') and are computed at most once per key.
     pub fn transform(
         &self,
         dataset: DatasetKind,
@@ -437,7 +458,7 @@ impl GridContext {
     ) -> Result<Arc<CachedTransform>, ScenarioError> {
         let ds = self.try_dataset(dataset)?;
         let key = TransformKey::new(dataset, subset, method, epsilon);
-        self.transforms.get_or_compute(key, || {
+        let compute = || {
             let uni;
             let data: &MultiSeries = match subset {
                 Subset::Full => {
@@ -455,7 +476,13 @@ impl GridContext {
                 }
                 None => transform_with_stats(data, method.compressor().as_ref(), epsilon),
             }
-        })
+        };
+        match subset {
+            Subset::Full => compute_transform(key, compute).map(Arc::new),
+            Subset::Train | Subset::Val | Subset::Test => {
+                self.transforms.get_or_compute(key, compute)
+            }
+        }
     }
 }
 
@@ -565,10 +592,38 @@ mod tests {
         let direct =
             transform_series(&a.split.test, Method::Pmc.compressor().as_ref(), 0.1).unwrap();
         assert_eq!(t1.series.target().values(), direct.target().values());
-        // Full-series transform is a different key with its own entry.
+        // A full-series transform bypasses the cache: the caller holds
+        // the only reference, and the cache neither grows nor counts it.
         let full = ctx.transform(DatasetKind::ETTm1, Subset::Full, Method::Pmc, 0.1).unwrap();
         assert_eq!(full.series.len(), a.series.len());
-        assert_eq!(ctx.transforms.misses(), 2);
+        assert_eq!(Arc::strong_count(&full), 1);
+        assert_eq!(Arc::strong_count(&full.series), 1);
+        assert_eq!(
+            (ctx.transforms.len(), ctx.transforms.misses(), ctx.transforms.hits()),
+            (1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn failed_computation_is_not_counted_as_cached() {
+        let cache = TransformCache::new();
+        let data = series(300);
+        let key = TransformKey::new(DatasetKind::ETTm1, Subset::Test, Method::Pmc, 0.1);
+        let err = cache.get_or_compute(key, || Err(ScenarioError::NoWindows));
+        assert!(matches!(err, Err(ScenarioError::NoWindows)));
+        assert_eq!(cache.len(), 0);
+        assert!(cache.is_empty());
+        assert_eq!(cache.misses(), 1);
+        // The reserved slot is retried and filled on the next request.
+        cache
+            .get_or_compute(key, || {
+                transform_with_stats(&data, Method::Pmc.compressor().as_ref(), 0.1)
+            })
+            .unwrap();
+        assert_eq!(cache.len(), 1);
+        assert_eq!(cache.misses(), 2);
+        cache.get_or_compute(key, || Err(ScenarioError::NoWindows)).unwrap();
+        assert_eq!((cache.len(), cache.hits()), (1, 1));
     }
 
     #[test]

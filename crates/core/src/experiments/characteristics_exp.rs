@@ -95,10 +95,12 @@ impl GridTask for CellTask<'_> {
     }
 }
 
-/// Runs the analysis on an already-evaluated grid.
+/// Runs the analysis on an already-evaluated grid. The cells compare
+/// target channels only, so the context generates nothing else
+/// ([`GridConfig::target_only`](crate::grid::GridConfig::target_only)).
 pub fn run(exp: &ForecastExperiment) -> CharacteristicsExperiment {
     let _span = telemetry::span("experiment.characteristics", &[]);
-    let ctx = GridContext::new(exp.config.clone());
+    let ctx = GridContext::new(exp.config.target_only());
 
     // Original (uncompressed) feature vectors per dataset.
     let mut originals: Vec<(DatasetKind, FeatureVector, FeatureOptions)> = Vec::new();

@@ -28,10 +28,12 @@ pub struct CompressionExperiment {
 /// Runs the compression grid through the task engine and fits the
 /// Table-3 regressions. Both the grid and the Gorilla baseline draw
 /// datasets from one shared [`GridContext`], so each dataset is
-/// generated exactly once; failed cells are recorded, not fatal.
+/// generated exactly once, and only its target channel, the one both
+/// measure ([`GridConfig::target_only`]); failed cells are recorded, not
+/// fatal.
 pub fn run(config: &GridConfig) -> CompressionExperiment {
     let _span = telemetry::span("experiment.compression", &[]);
-    let ctx = GridContext::new(config.clone());
+    let ctx = GridContext::new(config.target_only());
     let engine = Engine::new(&ctx);
     let grid_report = engine.compression_report();
     let gorilla_report = engine.gorilla_report();

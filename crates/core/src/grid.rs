@@ -169,6 +169,17 @@ impl GridConfig {
         }
     }
 
+    /// This configuration with every dataset generated as its target
+    /// channel alone (`channels: Some(1)`), for experiments that read
+    /// nothing but the target: the compression grid, the Gorilla baseline
+    /// and the characteristics cells. Their outputs equal those under the
+    /// full configuration, because generation draws the target from the
+    /// RNG before any auxiliary channel, so the target's values do not
+    /// depend on the channel count.
+    pub fn target_only(&self) -> GridConfig {
+        GridConfig { channels: Some(1), ..self.clone() }
+    }
+
     fn gen_options(&self) -> GenOptions {
         GenOptions { len: self.len, channels: self.channels, seed: self.data_seed }
     }
@@ -285,14 +296,16 @@ where
 
 /// Measures TE, CR and segment counts for every `(dataset, method, ε)`
 /// cell (Figure 2, Figure 3, Table 3 inputs). Operates on the target
-/// channel, as the paper's TE analysis does.
+/// channel, as the paper's TE analysis does, so only the target is
+/// generated ([`GridConfig::target_only`]).
 pub fn run_compression_grid(config: &GridConfig) -> Vec<CompressionRecord> {
-    run_compression_grid_ctx(&GridContext::new(config.clone()))
+    run_compression_grid_ctx(&GridContext::new(config.target_only()))
 }
 
-/// [`run_compression_grid`] against a shared [`GridContext`]: datasets and
-/// full-series transforms are pulled from (and left in) the context's
-/// caches. Failed cells are logged and skipped.
+/// [`run_compression_grid`] against a shared [`GridContext`]: datasets are
+/// pulled from (and left in) the context's cache; each full-series
+/// transform is computed for its one cell and dropped with it. Failed
+/// cells are logged and skipped.
 pub fn run_compression_grid_ctx(ctx: &GridContext) -> Vec<CompressionRecord> {
     Engine::new(ctx).compression_report().into_records_logged("compression grid")
 }
@@ -305,7 +318,7 @@ pub fn run_compression_grid_ctx(ctx: &GridContext) -> Vec<CompressionRecord> {
 /// gzip-relative; EXPERIMENTS.md discusses the one place the two
 /// conventions meet (the Figure-2 baseline line).
 pub fn gorilla_crs(config: &GridConfig) -> Vec<(DatasetKind, f64)> {
-    gorilla_crs_ctx(&GridContext::new(config.clone()))
+    gorilla_crs_ctx(&GridContext::new(config.target_only()))
 }
 
 /// [`gorilla_crs`] against a shared [`GridContext`] (reuses its cached

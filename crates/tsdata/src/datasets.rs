@@ -216,7 +216,9 @@ impl GenOptions {
 }
 
 /// Generates the dataset as a calibrated multivariate series with the target
-/// channel marked.
+/// channel marked. The target is drawn from the RNG before any auxiliary
+/// channel, so its values do not depend on `channels`; experiments that
+/// read only the target generate it alone.
 ///
 /// ```
 /// use tsdata::datasets::{generate, DatasetKind, GenOptions};
@@ -596,6 +598,35 @@ mod tests {
             GenOptions { len: Some(300), channels: Some(3), seed: 1 },
         );
         assert_eq!(m2.num_channels(), 3);
+    }
+
+    #[test]
+    fn target_does_not_depend_on_channel_count() {
+        // Target-only grids (the compression and characteristics
+        // experiments) rely on the target being drawn before any
+        // auxiliary channel.
+        for kind in ALL_DATASETS {
+            for len in [300, 2_000] {
+                for seed in [0x5EED, 7] {
+                    let multi = generate(kind, GenOptions { len: Some(len), channels: None, seed });
+                    let single =
+                        generate(kind, GenOptions { len: Some(len), channels: Some(1), seed });
+                    assert_eq!(single.num_channels(), 1);
+                    assert_eq!(single.names(), &multi.names()[..1]);
+                    let bits = |m: &MultiSeries| -> Vec<u64> {
+                        m.target().values().iter().map(|v| v.to_bits()).collect()
+                    };
+                    assert_eq!(
+                        bits(&single),
+                        bits(&multi),
+                        "{} len={len} seed={seed}",
+                        kind.name()
+                    );
+                    assert_eq!(single.target().start(), multi.target().start());
+                    assert_eq!(single.target().interval(), multi.target().interval());
+                }
+            }
+        }
     }
 
     #[test]
