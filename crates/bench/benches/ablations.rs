@@ -6,13 +6,13 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use compression::bitstream::BitWriter;
 use compression::codec::PeblcCompressor;
 use compression::deflate;
-use compression::gorilla::compress_values;
-use compression::pmc::{segment_values_repr, Representative};
+use compression::gorilla::ValueAppender;
+use compression::pmc::{PmcSegment, Representative};
 use compression::ppa::Ppa;
-use compression::{raw_compressed_size, Pmc, Swing, Sz};
+use compression::streaming::run_to_completion;
+use compression::{raw_compressed_size, Pmc, StreamingPmc, Swing, Sz};
 use forecast::gboost::{GBoost, GBoostConfig, MultiStep};
 use forecast::model::Forecaster;
 use tsdata::datasets::{generate, generate_univariate, DatasetKind, GenOptions};
@@ -20,6 +20,20 @@ use tsdata::split::{split, SplitSpec};
 
 fn series(n: usize) -> tsdata::series::RegularTimeSeries {
     generate_univariate(DatasetKind::ETTm1, GenOptions::with_len(n))
+}
+
+/// PMC segments of `values` at ε = 0.2 with the given representative.
+fn pmc_segments(values: &[f64], repr: Representative) -> Vec<PmcSegment> {
+    run_to_completion(StreamingPmc::with_representative(0.2, repr), values.iter().copied())
+}
+
+/// Gorilla value bits for `values` encoded as one block.
+fn gorilla_bits(values: &[f64]) -> usize {
+    let mut a = ValueAppender::new();
+    for &v in values {
+        a.push(v);
+    }
+    a.len_bits()
 }
 
 /// PMC representative policy: mean vs midrange vs snapped — report the
@@ -32,7 +46,7 @@ fn ablate_pmc_representative(c: &mut Criterion) {
         ("midrange", Representative::Midrange),
         ("snapped", Representative::Snapped),
     ] {
-        let segments = segment_values_repr(s.values(), 0.2, repr);
+        let segments = pmc_segments(s.values(), repr);
         let stream: Vec<u8> = segments
             .iter()
             .flat_map(|seg| {
@@ -47,7 +61,7 @@ fn ablate_pmc_representative(c: &mut Criterion) {
             deflate::compressed_size(&stream)
         );
         group.bench_function(BenchmarkId::from_parameter(name), |b| {
-            b.iter(|| segment_values_repr(black_box(s.values()), 0.2, repr))
+            b.iter(|| pmc_segments(black_box(s.values()), repr))
         });
     }
     group.finish();
@@ -74,21 +88,9 @@ fn ablate_sz_final_deflate(c: &mut Criterion) {
 /// block instead of the original two-hour blocks (§3.3) — compare bits.
 fn ablate_gorilla_blocks(c: &mut Criterion) {
     let s = series(8_192);
-    let whole = {
-        let mut w = BitWriter::new();
-        compress_values(s.values(), &mut w);
-        w.len_bits()
-    };
+    let whole = gorilla_bits(s.values());
     // Two-hour blocks at 15-minute sampling = 8 points per block.
-    let blocked = {
-        let mut total = 0usize;
-        for chunk in s.values().chunks(8) {
-            let mut w = BitWriter::new();
-            compress_values(chunk, &mut w);
-            total += w.len_bits();
-        }
-        total
-    };
+    let blocked: usize = s.values().chunks(8).map(gorilla_bits).sum();
     println!(
         "[ablation] GORILLA whole-series = {whole} bits; 2h blocks = {blocked} bits \
          (blocked/whole size ratio {:.2}; per-block 64-bit restarts trade against \
@@ -96,23 +98,9 @@ fn ablate_gorilla_blocks(c: &mut Criterion) {
         blocked as f64 / whole as f64
     );
     let mut group = c.benchmark_group("ablate_gorilla_blocks");
-    group.bench_function("whole_series", |b| {
-        b.iter(|| {
-            let mut w = BitWriter::new();
-            compress_values(black_box(s.values()), &mut w);
-            w.len_bits()
-        })
-    });
+    group.bench_function("whole_series", |b| b.iter(|| gorilla_bits(black_box(s.values()))));
     group.bench_function("two_hour_blocks", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for chunk in black_box(s.values()).chunks(8) {
-                let mut w = BitWriter::new();
-                compress_values(chunk, &mut w);
-                total += w.len_bits();
-            }
-            total
-        })
+        b.iter(|| black_box(s.values()).chunks(8).map(gorilla_bits).sum::<usize>())
     });
     group.finish();
 }

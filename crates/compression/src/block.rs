@@ -769,36 +769,6 @@ impl Bitset {
         Ok(set)
     }
 
-    /// Deserializes the legacy MSB-first layout (`BitWriter` bitmaps: bit
-    /// `i` at byte `i / 8` position `7 - i % 8`), as the pre-blocked SZ
-    /// format stored bitmaps. One `reverse_bits` per byte, no per-bit loop.
-    pub fn from_msb_bytes(bytes: &[u8], len: usize) -> Result<Self, BlockError> {
-        let nbytes = len.div_ceil(8);
-        if bytes.len() < nbytes {
-            return Err(BlockError(format!("{len}-bit bitmap needs {nbytes} bytes")));
-        }
-        let mut set = Bitset::with_len(len);
-        for (j, chunk) in bytes[..nbytes].chunks(8).enumerate() {
-            let mut b = [0u8; 8];
-            for (dst, src) in b.iter_mut().zip(chunk) {
-                *dst = src.reverse_bits();
-            }
-            set.words[j] = u64::from_le_bytes(b);
-        }
-        set.mask_tail();
-        Ok(set)
-    }
-
-    /// Serializes in the legacy MSB-first layout (inverse of
-    /// [`Bitset::from_msb_bytes`]).
-    pub fn to_msb_bytes(&self) -> Vec<u8> {
-        let mut out = self.to_le_bytes();
-        for b in &mut out {
-            *b = b.reverse_bits();
-        }
-        out
-    }
-
     fn mask_tail(&mut self) {
         let tail = self.len % 64;
         if tail != 0 {
@@ -998,24 +968,6 @@ mod tests {
         let dirty = vec![0xFFu8; 2];
         let set = Bitset::from_le_bytes(&dirty, 9).unwrap();
         assert_eq!(set.count_ones(), 9);
-    }
-
-    #[test]
-    fn bitset_msb_layout_matches_bitwriter() {
-        // The legacy layout is exactly what BitWriter::write_bit produces.
-        let bits: Vec<bool> = (0..37).map(|i| i % 3 == 0 || i % 7 == 1).collect();
-        let mut w = crate::bitstream::BitWriter::new();
-        let mut set = Bitset::with_len(bits.len());
-        for (i, &bit) in bits.iter().enumerate() {
-            w.write_bit(bit);
-            if bit {
-                set.set(i);
-            }
-        }
-        let legacy = w.into_bytes();
-        assert_eq!(set.to_msb_bytes(), legacy);
-        let back = Bitset::from_msb_bytes(&legacy, bits.len()).unwrap();
-        assert_eq!(back, set);
     }
 
     #[test]

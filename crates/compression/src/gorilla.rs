@@ -22,45 +22,6 @@ use crate::timestamps;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Gorilla;
 
-/// Compresses a value slice into Gorilla bits (no header).
-pub fn compress_values(values: &[f64], w: &mut BitWriter) {
-    if values.is_empty() {
-        return;
-    }
-    w.write_bits(values[0].to_bits(), 64);
-    let mut prev = values[0].to_bits();
-    // Invalid window forces the first nonzero XOR to emit a new one.
-    let mut prev_leading: u32 = u32::MAX;
-    let mut prev_trailing: u32 = 0;
-    for &v in &values[1..] {
-        let bits = v.to_bits();
-        let xor = bits ^ prev;
-        if xor == 0 {
-            w.write_bit(false);
-        } else {
-            w.write_bit(true);
-            let leading = xor.leading_zeros().min(31);
-            let trailing = xor.trailing_zeros();
-            if prev_leading != u32::MAX && leading >= prev_leading && trailing >= prev_trailing {
-                // Reuse the previous window.
-                w.write_bit(false);
-                let len = 64 - prev_leading - prev_trailing;
-                w.write_bits(xor >> prev_trailing, len as u8);
-            } else {
-                w.write_bit(true);
-                let len = 64 - leading - trailing;
-                w.write_bits(leading as u64, 5);
-                // len is in 1..=64; store len - 1 in 6 bits.
-                w.write_bits((len - 1) as u64, 6);
-                w.write_bits(xor >> trailing, len as u8);
-                prev_leading = leading;
-                prev_trailing = trailing;
-            }
-        }
-        prev = bits;
-    }
-}
-
 /// Decompresses `n` values from Gorilla bits.
 pub fn decompress_values(r: &mut BitReader<'_>, n: usize) -> Result<Vec<f64>, CodecError> {
     if n == 0 {
@@ -109,11 +70,11 @@ pub fn decompress_values(r: &mut BitReader<'_>, n: usize) -> Result<Vec<f64>, Co
     Ok(out)
 }
 
-/// Stateful point-at-a-time XOR encoder for the store's append path.
+/// The Gorilla value encoder: point-at-a-time XOR coding with no header.
 ///
-/// Pushing values one by one produces a bit stream identical to
-/// [`compress_values`] over the same slice (tested below), so a sealed
-/// chunk written through the appender decodes with [`decompress_values`].
+/// [`Gorilla::compress`] pushes a whole series through it and the store
+/// appends one point at a time; both streams decode with
+/// [`decompress_values`].
 #[derive(Debug, Clone)]
 pub struct ValueAppender {
     w: BitWriter,
@@ -141,6 +102,14 @@ impl ValueAppender {
         }
     }
 
+    /// Creates an empty appender sized for `values` points. Sensor-like
+    /// data averages well under 40 bits/value; sizing for the first
+    /// value's 64 bits plus that keeps growth to one realloc in the worst
+    /// case instead of byte-at-a-time doubling.
+    pub(crate) fn with_capacity(values: usize) -> Self {
+        ValueAppender { w: BitWriter::with_capacity(64 + values * 40), ..Self::new() }
+    }
+
     /// Number of values appended so far.
     pub fn len(&self) -> usize {
         self.count
@@ -156,7 +125,7 @@ impl ValueAppender {
         self.w.len_bits()
     }
 
-    /// Appends one value, emitting the same bits [`compress_values`] would.
+    /// Appends one value: 64 raw bits for the first, then one XOR code.
     pub fn push(&mut self, v: f64) {
         let bits = v.to_bits();
         if self.count == 0 {
@@ -176,6 +145,7 @@ impl ValueAppender {
                 && leading >= self.prev_leading
                 && trailing >= self.prev_trailing
             {
+                // Reuse the previous window.
                 self.w.write_bit(false);
                 let len = 64 - self.prev_leading - self.prev_trailing;
                 self.w.write_bits(xor >> self.prev_trailing, len as u8);
@@ -183,6 +153,7 @@ impl ValueAppender {
                 self.w.write_bit(true);
                 let len = 64 - leading - trailing;
                 self.w.write_bits(leading as u64, 5);
+                // len is in 1..=64; store len - 1 in 6 bits.
                 self.w.write_bits((len - 1) as u64, 6);
                 self.w.write_bits(xor >> trailing, len as u8);
                 self.prev_leading = leading;
@@ -213,12 +184,11 @@ impl PeblcCompressor for Gorilla {
     ) -> Result<CompressedSeries, CodecError> {
         let mut inner = timestamps::try_encode_header(series.start(), series.interval())?;
         inner.extend_from_slice(&(series.len() as u32).to_le_bytes());
-        // Sensor-like data averages well under 40 bits/value; sizing for
-        // the first value's 64 bits plus that keeps growth to one realloc
-        // in the worst case instead of byte-at-a-time doubling.
-        let mut w = BitWriter::with_capacity(64 + series.len() * 40);
-        compress_values(series.values(), &mut w);
-        inner.extend_from_slice(&w.into_bytes());
+        let mut values = ValueAppender::with_capacity(series.len());
+        for &v in series.values() {
+            values.push(v);
+        }
+        inner.extend_from_slice(&values.into_bytes());
         Ok(CompressedSeries {
             method: self.name(),
             bytes: deflate::compress(&inner),
@@ -248,6 +218,14 @@ mod tests {
         RegularTimeSeries::new(0, 60, values).unwrap()
     }
 
+    fn append_all(values: &[f64]) -> ValueAppender {
+        let mut a = ValueAppender::new();
+        for &v in values {
+            a.push(v);
+        }
+        a
+    }
+
     fn roundtrip(values: Vec<f64>) {
         let (d, _) = Gorilla.transform(&series(values.clone()), 0.0).unwrap();
         let got: Vec<u64> = d.values().iter().map(|v| v.to_bits()).collect();
@@ -273,19 +251,15 @@ mod tests {
 
     #[test]
     fn repeated_values_cost_one_bit() {
-        let mut w = BitWriter::new();
-        compress_values(&vec![7.5; 1001], &mut w);
         // 64 bits for the first + 1000 zero-XOR bits
-        assert_eq!(w.len_bits(), 64 + 1000);
+        assert_eq!(append_all(&[7.5; 1001]).len_bits(), 64 + 1000);
     }
 
     #[test]
     fn similar_values_compress() {
         // Values differing only in low mantissa bits: window reuse kicks in.
         let values: Vec<f64> = (0..10_000).map(|i| 100.0 + (i % 16) as f64 * 1e-12).collect();
-        let mut w = BitWriter::new();
-        compress_values(&values, &mut w);
-        let bits_per_value = w.len_bits() as f64 / values.len() as f64;
+        let bits_per_value = append_all(&values).len_bits() as f64 / values.len() as f64;
         assert!(bits_per_value < 40.0, "bits/value {bits_per_value}");
     }
 
@@ -324,35 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn appender_bits_match_batch_encoder() {
-        let cases: Vec<Vec<f64>> = vec![
-            vec![],
-            vec![std::f64::consts::PI],
-            vec![7.5; 1001],
-            (0..2000).map(|i| 20.0 + (i as f64 * 0.01).sin()).collect(),
-            (0..500).map(|i| (i as f64).sqrt() * -3.7).collect(),
-            vec![0.0, -0.0, 1.0, -1.0, f64::MAX, f64::MIN_POSITIVE, 1e-300],
-            vec![f64::from_bits(0x8000_0000_0000_0001), f64::from_bits(0x7FFF_FFFF_FFFF_FFFE)],
-        ];
-        for values in cases {
-            let mut w = BitWriter::new();
-            compress_values(&values, &mut w);
-            let mut a = ValueAppender::new();
-            for &v in &values {
-                a.push(v);
-            }
-            assert_eq!(a.len(), values.len());
-            assert_eq!(a.into_bytes(), w.into_bytes(), "n={}", values.len());
-        }
-    }
-
-    #[test]
     fn appender_stream_decodes() {
         let values: Vec<f64> = (0..1500).map(|i| 3.0 + (i % 9) as f64 * 0.25).collect();
-        let mut a = ValueAppender::new();
-        for &v in &values {
-            a.push(v);
-        }
+        let a = append_all(&values);
+        assert_eq!(a.len(), values.len());
         let bytes = a.into_bytes();
         let mut r = BitReader::new(&bytes);
         let got = decompress_values(&mut r, values.len()).unwrap();

@@ -64,7 +64,7 @@ pub use gorilla::Gorilla;
 pub use pmc::Pmc;
 pub use ppa::Ppa;
 pub use reader::{ByteReader, ReadError};
-pub use streaming::{compress_source, Emit, StreamingPmc, StreamingSwing};
+pub use streaming::{compress_source, Segmenter, StreamingPmc, StreamingSwing};
 pub use swing::Swing;
 pub use sz::Sz;
 

@@ -10,7 +10,9 @@
 //! push the mean outside it, the window *without the latest point* becomes a
 //! segment represented by its mean (paper §3.2).
 //!
-//! Segments are serialized as `(length: u16, mean: f64)` after the shared
+//! The windowing itself is [`StreamingPmc`], the one PMC encoder; this
+//! module holds the representative policy and the frame format. Segments
+//! are serialized as `(length: u16, value: f32)` after the shared
 //! timestamp header, then passed through the DEFLATE layer (the gzip step
 //! of §3.2). Constant-value segments are exactly what makes PMC's stream
 //! respond so well to that final lossless pass (paper §4.2).
@@ -18,10 +20,11 @@
 use tsdata::series::RegularTimeSeries;
 
 use crate::codec::{
-    check_epsilon, point_bound, shortest_decimal_in, CodecError, CompressedSeries, PeblcCompressor,
+    check_epsilon, shortest_decimal_in, CodecError, CompressedSeries, PeblcCompressor,
 };
 use crate::deflate;
 use crate::reader::ByteReader;
+use crate::streaming::{compress_run, StreamingPmc};
 use crate::timestamps;
 
 /// The PMC-Mean compressor.
@@ -50,70 +53,21 @@ pub enum Representative {
     Snapped,
 }
 
-/// Runs the PMC windowing with an explicit representative policy.
-pub fn segment_values_repr(values: &[f64], epsilon: f64, repr: Representative) -> Vec<PmcSegment> {
-    segment_values_impl(values, epsilon, repr)
-}
-
-/// Runs the PMC-Mean windowing on raw values, returning segments with the
-/// default (snapped) representative.
-pub fn segment_values(values: &[f64], epsilon: f64) -> Vec<PmcSegment> {
-    segment_values_impl(values, epsilon, Representative::Snapped)
-}
-
-fn segment_values_impl(values: &[f64], epsilon: f64, repr: Representative) -> Vec<PmcSegment> {
-    let mut segments = Vec::new();
-    // Intersection of allowed intervals and running sum for the open window.
-    let mut lo = f64::NEG_INFINITY;
-    let mut hi = f64::INFINITY;
-    let mut sum = 0.0;
-    let mut count = 0usize;
-    let mut mean = 0.0;
-
-    for &v in values.iter() {
-        let b = point_bound(v, epsilon);
-        let nlo = lo.max(v - b);
-        let nhi = hi.min(v + b);
-        let nsum = sum + v;
-        let ncount = count + 1;
-        let nmean = nsum / ncount as f64;
-        if nlo <= nhi && nmean >= nlo && nmean <= nhi {
-            // Window absorbs the point.
-            lo = nlo;
-            hi = nhi;
-            sum = nsum;
-            count = ncount;
-            mean = nmean;
-        } else {
-            // Close the window without the latest point. The mean is
-            // guaranteed to lie in [lo, hi]; the stored representative is
-            // the most compressible value near the mean (see
-            // `codec::shortest_decimal_in`).
-            segments.push(PmcSegment { len: count, value: representative(lo, hi, mean, repr) });
-            lo = v - b;
-            hi = v + b;
-            sum = v;
-            count = 1;
-            mean = v;
-        }
-    }
-    if count > 0 {
-        segments.push(PmcSegment { len: count, value: representative(lo, hi, mean, repr) });
-    }
-    segments
-}
-
-fn representative(lo: f64, hi: f64, mean: f64, repr: Representative) -> f64 {
-    match repr {
-        Representative::Mean => mean,
-        Representative::Midrange => {
-            if lo.is_finite() && hi.is_finite() {
-                (lo + hi) / 2.0
-            } else {
-                mean
+impl Representative {
+    /// The value stored for a closed window with constraint interval
+    /// `[lo, hi]` and running mean `mean`.
+    pub(crate) fn pick(self, lo: f64, hi: f64, mean: f64) -> f64 {
+        match self {
+            Representative::Mean => mean,
+            Representative::Midrange => {
+                if lo.is_finite() && hi.is_finite() {
+                    (lo + hi) / 2.0
+                } else {
+                    mean
+                }
             }
+            Representative::Snapped => snap_near_mean(lo, hi, mean),
         }
-        Representative::Snapped => snap_near_mean(lo, hi, mean),
     }
 }
 
@@ -121,21 +75,16 @@ fn representative(lo: f64, hi: f64, mean: f64, repr: Representative) -> f64 {
 /// little of the allowed slack for a round (compressible) representative
 /// while staying close to PMC-Mean's reconstruction error profile.
 fn snap_near_mean(lo: f64, hi: f64, mean: f64) -> f64 {
-    snap_near_mean_public(lo, hi, mean)
-}
-
-/// Crate-visible snapping used by the streaming compressor so its segments
-/// match the batch output exactly.
-pub(crate) fn snap_near_mean_public(lo: f64, hi: f64, mean: f64) -> f64 {
     let l = mean - 0.5 * (mean - lo).max(0.0);
     let h = mean + 0.5 * (hi - mean).max(0.0);
     shortest_decimal_in(l, h)
 }
 
 /// Serializes already-segmented PMC output into the deflated frame format
-/// `Pmc::decompress` reads. `Pmc::compress` is `segment_values` followed by
-/// this; the store re-encodes streamed segments through the same path so
-/// its frames are byte-identical to the batch compressor's.
+/// `Pmc::decompress` reads, splitting segments longer than the 16-bit
+/// length field into several stored records. Every PMC frame — batch
+/// `compress`, `compress_source` and store chunk sealing — is
+/// [`StreamingPmc`] run to completion followed by this.
 pub fn encode_segments(
     start: i64,
     interval: i64,
@@ -169,12 +118,8 @@ impl PeblcCompressor for Pmc {
         epsilon: f64,
     ) -> Result<CompressedSeries, CodecError> {
         check_epsilon(epsilon)?;
-        let segments = segment_values(series.values(), epsilon);
-        Ok(CompressedSeries {
-            method: self.name(),
-            bytes: encode_segments(series.start(), series.interval(), &segments)?,
-            num_segments: segments.len(),
-        })
+        let values = series.values().iter().copied();
+        compress_run(StreamingPmc::new(epsilon), values, series.start(), series.interval())
     }
 
     fn decompress(&self, compressed: &CompressedSeries) -> Result<RegularTimeSeries, CodecError> {
@@ -211,6 +156,11 @@ impl PeblcCompressor for Pmc {
 mod tests {
     use super::*;
     use crate::codec::find_bound_violation;
+    use crate::streaming::run_to_completion;
+
+    fn segments(values: &[f64], epsilon: f64) -> Vec<PmcSegment> {
+        run_to_completion(StreamingPmc::new(epsilon), values.iter().copied())
+    }
 
     fn series(values: Vec<f64>) -> RegularTimeSeries {
         RegularTimeSeries::new(0, 60, values).unwrap()
@@ -218,13 +168,13 @@ mod tests {
 
     #[test]
     fn constant_series_is_one_segment() {
-        let segs = segment_values(&[5.0; 100], 0.01);
+        let segs = segments(&[5.0; 100], 0.01);
         assert_eq!(segs, vec![PmcSegment { len: 100, value: 5.0 }]);
     }
 
     #[test]
     fn zero_epsilon_splits_on_change() {
-        let segs = segment_values(&[1.0, 1.0, 2.0, 2.0, 2.0], 0.0);
+        let segs = segments(&[1.0, 1.0, 2.0, 2.0, 2.0], 0.0);
         assert_eq!(
             segs,
             vec![PmcSegment { len: 2, value: 1.0 }, PmcSegment { len: 3, value: 2.0 }]
@@ -235,11 +185,11 @@ mod tests {
     fn mean_respects_all_points() {
         // values 10, 11 with eps 0.1: bounds [9,11] and [9.9,12.1];
         // the representative must lie in the intersection [9.9, 11].
-        let segs = segment_values(&[10.0, 11.0], 0.1);
+        let segs = segments(&[10.0, 11.0], 0.1);
         assert_eq!(segs.len(), 1);
         assert!((9.9..=11.0).contains(&segs[0].value), "value {}", segs[0].value);
         // 10 then 13 with eps 0.1: intersection [11.7, 11.0] is empty -> split.
-        let segs = segment_values(&[10.0, 13.0], 0.1);
+        let segs = segments(&[10.0, 13.0], 0.1);
         assert_eq!(segs.len(), 2);
     }
 
@@ -247,10 +197,10 @@ mod tests {
     fn representative_is_round_decimal() {
         // Mean 10.5, allowed interval [9.9, 11]: the snapped half-interval
         // [10.2, 10.75] admits the one-decimal value 10.5.
-        let segs = segment_values(&[10.0, 11.0], 0.1);
+        let segs = segments(&[10.0, 11.0], 0.1);
         assert_eq!(segs[0].value, 10.5);
         // A wide interval snaps to an integer.
-        let segs = segment_values(&[100.0, 104.0], 0.3);
+        let segs = segments(&[100.0, 104.0], 0.3);
         assert_eq!(segs[0].value.fract(), 0.0, "value {}", segs[0].value);
     }
 

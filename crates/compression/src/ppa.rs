@@ -292,7 +292,11 @@ mod tests {
         // linear one on curvy data...
         let vals: Vec<f64> = (0..4000).map(|i| 50.0 + 20.0 * (i as f64 * 0.01).sin()).collect();
         let ppa = segment_values(&vals, 0.05, 2).len();
-        let swing = crate::swing::segment_values(&vals, 0.05).len();
+        let swing = crate::streaming::run_to_completion(
+            crate::StreamingSwing::new(0.05),
+            vals.iter().copied(),
+        )
+        .len();
         assert!(ppa < swing, "ppa {ppa} vs swing {swing}");
     }
 

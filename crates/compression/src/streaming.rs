@@ -4,73 +4,121 @@
 //!
 //! [`StreamingPmc`] and [`StreamingSwing`] accept points one at a time and
 //! emit closed segments as soon as the error bound forces a cut, so memory
-//! stays O(1) regardless of stream length. Their output is identical to
-//! the batch `segment_values` of the respective modules (tested below),
-//! except that the streaming side also enforces the 16-bit segment-length
-//! cap during segmentation — both algorithms are single-pass by
-//! construction; the batch API merely materializes everything at once.
-//! Cap-forced cuts are counted (`cap_cuts`) so callers that promise
-//! byte-identity with the batch frames ([`compress_source`], store chunk
-//! sealing) can fail with a typed error instead of silently diverging.
+//! stays O(1) regardless of stream length. They are the only PMC and Swing
+//! segmenters: the batch `compress` of each codec, [`compress_source`] and
+//! the store's chunk sealing all run these encoders to completion (see
+//! [`run_to_completion`]) and then serialize with the codec's
+//! `encode_segments`, which also splits segments longer than the 16-bit
+//! length field.
 
 use tsdata::series::SeriesSource;
 
-use crate::codec::point_bound;
-use crate::codec::{check_epsilon, CodecError, CompressedSeries, PeblcCompressor};
-use crate::pmc::PmcSegment;
+use crate::codec::{check_epsilon, point_bound, CodecError, CompressedSeries, PeblcCompressor};
+use crate::pmc::{PmcSegment, Representative};
 use crate::swing::SwingSegment;
 use crate::Method;
 
-/// An emitted streaming segment event.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Emit<S> {
-    /// No segment closed on this point.
-    Pending,
-    /// The previous window closed with this segment.
-    Segment(S),
+/// An online segmenter: push points, receive closed segments.
+pub trait Segmenter {
+    /// The closed-segment type.
+    type Segment;
+    /// The codec name frames carry (`CompressedSeries::method`).
+    const METHOD: &'static str;
+
+    /// Pushes one point; returns the segment it closed, if any.
+    fn push(&mut self, v: f64) -> Option<Self::Segment>;
+
+    /// Flushes the open window. The encoder stays usable: the store seals
+    /// an active chunk this way and keeps pushing into the same encoder,
+    /// and the next `push` starts a fresh segment.
+    fn drain(&mut self) -> Option<Self::Segment>;
+
+    /// Serializes closed segments into the codec's deflated frame.
+    fn encode(start: i64, interval: i64, segments: &[Self::Segment])
+        -> Result<Vec<u8>, CodecError>;
 }
 
-/// Online PMC-Mean: push points, receive closed segments.
+/// Runs `values` through `enc` to completion: every segment the stream
+/// closes, then the drained open window.
+pub fn run_to_completion<S: Segmenter>(
+    mut enc: S,
+    values: impl IntoIterator<Item = f64>,
+) -> Vec<S::Segment> {
+    let mut segments = Vec::new();
+    for v in values {
+        if let Some(segment) = enc.push(v) {
+            segments.push(segment);
+        }
+    }
+    segments.extend(enc.drain());
+    segments
+}
+
+/// Runs `values` through `enc` to completion and writes the frame. Batch
+/// callers pass `series.values().iter().copied()`, so the generic keeps
+/// the per-point loop free of dynamic dispatch.
+pub(crate) fn compress_run<S: Segmenter>(
+    enc: S,
+    values: impl Iterator<Item = f64>,
+    start: i64,
+    interval: i64,
+) -> Result<CompressedSeries, CodecError> {
+    let segments = run_to_completion(enc, values);
+    Ok(CompressedSeries {
+        method: S::METHOD,
+        bytes: S::encode(start, interval, &segments)?,
+        num_segments: segments.len(),
+    })
+}
+
+/// Online PMC: push points, receive closed segments.
 #[derive(Debug, Clone)]
 pub struct StreamingPmc {
     epsilon: f64,
+    repr: Representative,
     lo: f64,
     hi: f64,
     sum: f64,
     count: usize,
     mean: f64,
-    cap_cuts: usize,
 }
 
 impl StreamingPmc {
-    /// Creates a streaming compressor with relative bound `epsilon`.
+    /// Creates a streaming compressor with relative bound `epsilon` and
+    /// the default snapped representative.
     pub fn new(epsilon: f64) -> Self {
+        Self::with_representative(epsilon, Representative::Snapped)
+    }
+
+    /// Creates a streaming compressor that stores `repr` for each closed
+    /// window (the DESIGN.md §5 ablation).
+    pub fn with_representative(epsilon: f64, repr: Representative) -> Self {
         StreamingPmc {
             epsilon,
+            repr,
             lo: f64::NEG_INFINITY,
             hi: f64::INFINITY,
             sum: 0.0,
             count: 0,
             mean: 0.0,
-            cap_cuts: 0,
         }
     }
 
-    /// Number of points in the open window.
-    pub fn pending_len(&self) -> usize {
-        self.count
+    // Inlined so the window state `push` updates can stay in registers.
+    #[inline]
+    fn segment(&self) -> PmcSegment {
+        PmcSegment { len: self.count, value: self.repr.pick(self.lo, self.hi, self.mean) }
     }
+}
 
-    /// How many segments were cut by the 16-bit length cap rather than the
-    /// error bound. Non-zero means this stream's segmentation diverged
-    /// from the batch compressor's (which splits at encode time, keeping
-    /// one mean per logical segment), so byte-identity no longer holds.
-    pub fn cap_cuts(&self) -> usize {
-        self.cap_cuts
-    }
+impl Segmenter for StreamingPmc {
+    type Segment = PmcSegment;
+    const METHOD: &'static str = "PMC";
 
-    /// Pushes one point; returns the segment that closed, if any.
-    pub fn push(&mut self, v: f64) -> Emit<PmcSegment> {
+    // Inlined into `run_to_completion`, which is instantiated in each
+    // calling crate; a per-point call measurably slows the batch path.
+    #[inline]
+    fn push(&mut self, v: f64) -> Option<PmcSegment> {
         let b = point_bound(v, self.epsilon);
         let nlo = self.lo.max(v - b);
         let nhi = self.hi.min(v + b);
@@ -78,54 +126,34 @@ impl StreamingPmc {
         let ncount = self.count + 1;
         let nmean = nsum / ncount as f64;
         if nlo <= nhi && nmean >= nlo && nmean <= nhi {
+            // The window absorbs the point.
             self.lo = nlo;
             self.hi = nhi;
             self.sum = nsum;
             self.count = ncount;
             self.mean = nmean;
-            // Respect the 16-bit segment-length storage cap.
-            if self.count == u16::MAX as usize {
-                self.cap_cuts += 1;
-                return Emit::Segment(self.take_segment(f64::NAN));
-            }
-            Emit::Pending
+            None
         } else {
-            Emit::Segment(self.take_segment(v))
-        }
-    }
-
-    /// Flushes the open window at end of stream.
-    pub fn finish(mut self) -> Option<PmcSegment> {
-        self.drain()
-    }
-
-    /// Flushes the open window without consuming the encoder: the store
-    /// seals an active chunk this way and keeps pushing into the same
-    /// wrapper. After a drain the next `push` starts a fresh segment.
-    pub fn drain(&mut self) -> Option<PmcSegment> {
-        (self.count > 0).then(|| self.take_segment(f64::NAN))
-    }
-
-    fn take_segment(&mut self, next: f64) -> PmcSegment {
-        let seg = PmcSegment {
-            len: self.count,
-            value: crate::pmc::snap_near_mean_public(self.lo, self.hi, self.mean),
-        };
-        if next.is_nan() {
-            self.lo = f64::NEG_INFINITY;
-            self.hi = f64::INFINITY;
-            self.sum = 0.0;
-            self.count = 0;
-            self.mean = 0.0;
-        } else {
-            let b = point_bound(next, self.epsilon);
-            self.lo = next - b;
-            self.hi = next + b;
-            self.sum = next;
+            // Close the window without the latest point, which opens the
+            // next one.
+            let seg = self.segment();
+            self.lo = v - b;
+            self.hi = v + b;
+            self.sum = v;
             self.count = 1;
-            self.mean = next;
+            self.mean = v;
+            Some(seg)
         }
+    }
+
+    fn drain(&mut self) -> Option<PmcSegment> {
+        let seg = (self.count > 0).then(|| self.segment());
+        *self = Self::with_representative(self.epsilon, self.repr);
         seg
+    }
+
+    fn encode(start: i64, interval: i64, segments: &[PmcSegment]) -> Result<Vec<u8>, CodecError> {
+        crate::pmc::encode_segments(start, interval, segments)
     }
 }
 
@@ -138,7 +166,6 @@ pub struct StreamingSwing {
     slope_lo: f64,
     slope_hi: f64,
     started: bool,
-    cap_cuts: usize,
 }
 
 impl StreamingSwing {
@@ -151,29 +178,17 @@ impl StreamingSwing {
             slope_lo: f64::NEG_INFINITY,
             slope_hi: f64::INFINITY,
             started: false,
-            cap_cuts: 0,
         }
     }
 
-    /// Number of points in the open window.
-    pub fn pending_len(&self) -> usize {
-        if self.started {
-            self.offset + 1
-        } else {
-            0
-        }
-    }
-
-    /// How many segments were cut by the 16-bit length cap rather than
-    /// the error bound (see [`StreamingPmc::cap_cuts`]).
-    pub fn cap_cuts(&self) -> usize {
-        self.cap_cuts
-    }
-
-    fn close(&mut self) -> SwingSegment {
+    fn close(&self) -> SwingSegment {
         let slope = if self.slope_lo.is_finite() && self.slope_hi.is_finite() {
+            // The mean of the surviving slope bounds, exactly as
+            // ModelarDB's Swing computes its coefficients (§3.2
+            // "Implementations Used").
             (self.slope_lo + self.slope_hi) / 2.0
         } else {
+            // Single-point segment: any slope works; use 0.
             0.0
         };
         SwingSegment { len: self.offset + 1, intercept: self.anchor, slope }
@@ -186,82 +201,74 @@ impl StreamingSwing {
         self.slope_hi = f64::INFINITY;
         self.started = true;
     }
+}
 
-    /// Pushes one point; returns the segment that closed, if any.
-    pub fn push(&mut self, v: f64) -> Emit<SwingSegment> {
+impl Segmenter for StreamingSwing {
+    type Segment = SwingSegment;
+    const METHOD: &'static str = "SWING";
+
+    // Inlined for the same reason as `StreamingPmc::push`.
+    #[inline]
+    fn push(&mut self, v: f64) -> Option<SwingSegment> {
         if !self.started {
             self.reanchor(v);
-            return Emit::Pending;
+            return None;
         }
-        // Mirrors `swing::segment_values`: exact zeros either extend a
-        // zero-anchored zero-slope line or force a cut.
+        // Exact zeros have a zero bound under the relative-error model, so
+        // the reconstruction must hit them exactly. A zero-anchored
+        // zero-slope line represents runs of zeros; any other case forces
+        // a new segment anchored at the zero (a pinned nonzero slope would
+        // not survive single-precision coefficient storage).
         if v == 0.0 && self.epsilon < 1.0 {
             if self.anchor == 0.0 && self.slope_lo <= 0.0 && 0.0 <= self.slope_hi {
                 self.slope_lo = 0.0;
                 self.slope_hi = 0.0;
                 self.offset += 1;
-                return Emit::Pending;
+                return None;
             }
             let seg = self.close();
             self.reanchor(v);
-            return Emit::Segment(seg);
+            return Some(seg);
         }
         let off = (self.offset + 1) as f64;
+        // Shrink the bound by the worst-case single-precision coefficient
+        // rounding (|Δanchor| + off·|Δslope|, with off·|slope| bounded by
+        // |v| + |anchor| + b), so the stored f32 line still satisfies the
+        // exact bound.
         let b = point_bound(v, self.epsilon);
         let margin = 2.0 * f32::EPSILON as f64 * (self.anchor.abs() + v.abs() + b);
         let b_eff = b - margin;
         let nlo = self.slope_lo.max((v - b_eff - self.anchor) / off);
         let nhi = self.slope_hi.min((v + b_eff - self.anchor) / off);
-        let fits = b_eff > 0.0 && nlo <= nhi;
-        if fits && self.offset + 2 <= u16::MAX as usize {
+        if b_eff > 0.0 && nlo <= nhi {
             self.slope_lo = nlo;
             self.slope_hi = nhi;
             self.offset += 1;
-            Emit::Pending
+            None
         } else {
-            if fits {
-                // The bound would have admitted the point; only the 16-bit
-                // length cap forced this cut.
-                self.cap_cuts += 1;
-            }
             let seg = self.close();
             self.reanchor(v);
-            Emit::Segment(seg)
+            Some(seg)
         }
     }
 
-    /// Flushes the open window at end of stream.
-    pub fn finish(mut self) -> Option<SwingSegment> {
-        self.drain()
+    fn drain(&mut self) -> Option<SwingSegment> {
+        let seg = self.started.then(|| self.close());
+        *self = Self::new(self.epsilon);
+        seg
     }
 
-    /// Flushes the open window without consuming the filter (see
-    /// [`StreamingPmc::drain`]); the next `push` re-anchors from scratch.
-    pub fn drain(&mut self) -> Option<SwingSegment> {
-        if !self.started {
-            return None;
-        }
-        let seg = self.close();
-        self.anchor = 0.0;
-        self.offset = 0;
-        self.slope_lo = f64::NEG_INFINITY;
-        self.slope_hi = f64::INFINITY;
-        self.started = false;
-        Some(seg)
+    fn encode(start: i64, interval: i64, segments: &[SwingSegment]) -> Result<Vec<u8>, CodecError> {
+        crate::swing::encode_segments(start, interval, segments)
     }
 }
 
 /// Compresses a [`SeriesSource`] under `(method, epsilon)` by streaming its
-/// values through the online encoders, producing a frame *byte-identical*
-/// to `method.compressor().compress(...)` of the materialised series. PMC
-/// and Swing never hold more than the open window; SZ is block-based and
-/// falls back to collecting the values.
-///
-/// If a segment reaches the 16-bit length cap the streaming side is forced
-/// to cut where the batch side would not (the batch encoder splits at
-/// encode time, keeping one model per logical segment), so byte-identity
-/// cannot hold — that case returns [`CodecError::SegmentCap`] instead of
-/// silently diverging.
+/// values through the online encoders. PMC and Swing hold the open window
+/// and the closed segments, never the series, and run the same encoder as
+/// the batch `compress`, so the frame equals `method.compressor().compress(...)` of the
+/// materialised series; SZ is block-based and falls back to collecting
+/// the values.
 ///
 /// This is how the store re-encodes chunk-backed reads: identical frame
 /// bytes mean identical sizes, segment counts and decoded series, so a
@@ -272,42 +279,13 @@ pub fn compress_source(
     epsilon: f64,
 ) -> Result<CompressedSeries, CodecError> {
     check_epsilon(epsilon)?;
+    let (start, interval) = (source.start(), source.interval());
     match method {
         Method::Pmc => {
-            let mut enc = StreamingPmc::new(epsilon);
-            let mut segs = Vec::new();
-            for v in source.iter_values() {
-                if let Emit::Segment(s) = enc.push(v) {
-                    segs.push(s);
-                }
-            }
-            segs.extend(enc.drain());
-            if enc.cap_cuts() > 0 {
-                return Err(CodecError::SegmentCap { method: "PMC" });
-            }
-            Ok(CompressedSeries {
-                method: "PMC",
-                bytes: crate::pmc::encode_segments(source.start(), source.interval(), &segs)?,
-                num_segments: segs.len(),
-            })
+            compress_run(StreamingPmc::new(epsilon), source.iter_values(), start, interval)
         }
         Method::Swing => {
-            let mut enc = StreamingSwing::new(epsilon);
-            let mut segs = Vec::new();
-            for v in source.iter_values() {
-                if let Emit::Segment(s) = enc.push(v) {
-                    segs.push(s);
-                }
-            }
-            segs.extend(enc.drain());
-            if enc.cap_cuts() > 0 {
-                return Err(CodecError::SegmentCap { method: "SWING" });
-            }
-            Ok(CompressedSeries {
-                method: "SWING",
-                bytes: crate::swing::encode_segments(source.start(), source.interval(), &segs)?,
-                num_segments: segs.len(),
-            })
+            compress_run(StreamingSwing::new(epsilon), source.iter_values(), start, interval)
         }
         Method::Sz => {
             // SZ quantizes over fixed blocks, so it needs the values at
@@ -323,59 +301,38 @@ mod tests {
     use super::*;
     use tsdata::datasets::{generate_univariate, DatasetKind, GenOptions};
 
-    fn drain_pmc(values: &[f64], eps: f64) -> Vec<PmcSegment> {
-        let mut s = StreamingPmc::new(eps);
-        let mut out = Vec::new();
-        for &v in values {
-            if let Emit::Segment(seg) = s.push(v) {
-                out.push(seg);
-            }
-        }
-        out.extend(s.finish());
-        out
-    }
-
-    fn drain_swing(values: &[f64], eps: f64) -> Vec<SwingSegment> {
-        let mut s = StreamingSwing::new(eps);
-        let mut out = Vec::new();
-        for &v in values {
-            if let Emit::Segment(seg) = s.push(v) {
-                out.push(seg);
-            }
-        }
-        out.extend(s.finish());
-        out
-    }
-
-    #[test]
-    fn streaming_pmc_matches_batch() {
-        let series = generate_univariate(DatasetKind::ETTm1, GenOptions::with_len(3_000));
-        for eps in [0.01, 0.1, 0.4] {
-            let streamed = drain_pmc(series.values(), eps);
-            let batch = crate::pmc::segment_values(series.values(), eps);
-            assert_eq!(streamed, batch, "eps {eps}");
-        }
-    }
-
-    #[test]
-    fn streaming_swing_matches_batch() {
-        let series = generate_univariate(DatasetKind::Solar, GenOptions::with_len(3_000));
-        for eps in [0.01, 0.1, 0.4] {
-            let streamed = drain_swing(series.values(), eps);
-            let batch = crate::swing::segment_values(series.values(), eps);
-            assert_eq!(streamed, batch, "eps {eps}");
-        }
-    }
-
     #[test]
     fn segments_cover_the_stream() {
         let series = generate_univariate(DatasetKind::Wind, GenOptions::with_len(2_000));
-        let segs = drain_pmc(series.values(), 0.1);
-        let total: usize = segs.iter().map(|s| s.len).sum();
+        let values = series.values().iter().copied();
+        let total: usize =
+            run_to_completion(StreamingPmc::new(0.1), values.clone()).iter().map(|s| s.len).sum();
         assert_eq!(total, 2_000);
-        let segs = drain_swing(series.values(), 0.1);
-        let total: usize = segs.iter().map(|s| s.len).sum();
+        let total: usize =
+            run_to_completion(StreamingSwing::new(0.1), values).iter().map(|s| s.len).sum();
         assert_eq!(total, 2_000);
+    }
+
+    #[test]
+    fn non_finite_points_stay_in_the_stream() {
+        // A NaN closes the open window and opens its own; it must not be
+        // dropped, or the frame would decode to fewer points than it got.
+        let values = [1.0, f64::NAN, 2.0, 2.0, f64::INFINITY, 3.0];
+        let pmc = run_to_completion(StreamingPmc::new(0.1), values);
+        assert_eq!(pmc.iter().map(|s| s.len).sum::<usize>(), values.len(), "{pmc:?}");
+        let swing = run_to_completion(StreamingSwing::new(0.1), values);
+        assert_eq!(swing.iter().map(|s| s.len).sum::<usize>(), values.len(), "{swing:?}");
+    }
+
+    #[test]
+    fn long_runs_stay_one_logical_segment() {
+        // The encoders do not cut at the 16-bit length field; the frame
+        // writer splits the segment into stored records instead.
+        let run = std::iter::repeat_n(5.0, 200_000);
+        let pmc = run_to_completion(StreamingPmc::new(0.1), run.clone());
+        assert_eq!(pmc, vec![PmcSegment { len: 200_000, value: 5.0 }]);
+        let swing = run_to_completion(StreamingSwing::new(0.1), run);
+        assert_eq!(swing, vec![SwingSegment { len: 200_000, intercept: 5.0, slope: 0.0 }]);
     }
 
     #[test]
@@ -402,22 +359,9 @@ mod tests {
     }
 
     #[test]
-    fn pending_len_tracks_open_window() {
-        let mut s = StreamingPmc::new(0.5);
-        assert_eq!(s.pending_len(), 0);
-        s.push(10.0);
-        s.push(10.1);
-        assert_eq!(s.pending_len(), 2);
-        let mut w = StreamingSwing::new(0.5);
-        w.push(1.0);
-        w.push(2.0);
-        assert_eq!(w.pending_len(), 2);
-    }
-
-    #[test]
     fn empty_stream_finishes_empty() {
-        assert!(StreamingPmc::new(0.1).finish().is_none());
-        assert!(StreamingSwing::new(0.1).finish().is_none());
+        assert!(StreamingPmc::new(0.1).drain().is_none());
+        assert!(StreamingSwing::new(0.1).drain().is_none());
     }
 
     #[test]
@@ -428,11 +372,10 @@ mod tests {
         p.push(10.0);
         p.push(10.2);
         assert_eq!(p.drain().map(|s| s.len), Some(2));
-        assert_eq!(p.pending_len(), 0);
         assert!(p.drain().is_none(), "second drain on an empty window");
         // 50.0 would have violated the [10-ish] window; a fresh segment
         // accepts it as its first point.
-        assert_eq!(p.push(50.0), Emit::Pending);
+        assert_eq!(p.push(50.0), None);
         assert_eq!(p.drain(), Some(PmcSegment { len: 1, value: 50.0 }));
 
         let mut w = StreamingSwing::new(0.1);
@@ -440,86 +383,31 @@ mod tests {
         w.push(2.0);
         let seg = w.drain().unwrap();
         assert_eq!((seg.len, seg.intercept), (2, 1.0));
-        assert_eq!(w.pending_len(), 0);
         assert!(w.drain().is_none());
         // The next point re-anchors: drained state must not constrain it.
-        assert_eq!(w.push(-7.0), Emit::Pending);
+        assert_eq!(w.push(-7.0), None);
         let seg = w.drain().unwrap();
         assert_eq!((seg.len, seg.intercept, seg.slope), (1, -7.0, 0.0));
     }
 
     #[test]
     fn drain_segments_match_chunked_batch() {
-        // Draining every k points must equal batch segmentation of each
-        // k-point slice — the store's byte-identity precondition.
+        // Draining every k points must equal running a fresh encoder over
+        // each k-point slice — the store's byte-identity precondition.
         let series = generate_univariate(DatasetKind::ETTm1, GenOptions::with_len(1_024));
         for k in [37usize, 256] {
             let mut s = StreamingPmc::new(0.1);
             let mut streamed = Vec::new();
             for chunk in series.values().chunks(k) {
-                for &v in chunk {
-                    if let Emit::Segment(seg) = s.push(v) {
-                        streamed.push(seg);
-                    }
-                }
+                streamed.extend(chunk.iter().filter_map(|&v| s.push(v)));
                 streamed.extend(s.drain());
             }
-            let batch: Vec<PmcSegment> = series
+            let chunked: Vec<PmcSegment> = series
                 .values()
                 .chunks(k)
-                .flat_map(|c| crate::pmc::segment_values(c, 0.1))
+                .flat_map(|c| run_to_completion(StreamingPmc::new(0.1), c.iter().copied()))
                 .collect();
-            assert_eq!(streamed, batch, "k={k}");
-        }
-    }
-
-    #[test]
-    fn long_constant_stream_respects_u16_cap() {
-        let mut s = StreamingPmc::new(0.1);
-        let mut segments = 0;
-        for _ in 0..200_000 {
-            if let Emit::Segment(seg) = s.push(5.0) {
-                assert!(seg.len <= u16::MAX as usize);
-                segments += 1;
-            }
-        }
-        assert!(segments >= 3, "u16 cap should have forced cuts: {segments}");
-        // Every one of those cuts was cap-forced, not bound-forced, and
-        // the encoder kept count of each.
-        assert_eq!(s.cap_cuts(), segments);
-    }
-
-    #[test]
-    fn swing_counts_cap_forced_cuts() {
-        let mut s = StreamingSwing::new(0.1);
-        for _ in 0..70_000 {
-            s.push(5.0);
-        }
-        assert_eq!(s.cap_cuts(), 1, "one cap cut past u16::MAX constant points");
-        // Bound-forced cuts don't count: alternate far-apart values so
-        // every point breaks the previous line.
-        let mut s = StreamingSwing::new(0.01);
-        for i in 0..1_000 {
-            s.push(if i % 2 == 0 { 1.0 } else { 100.0 });
-        }
-        assert_eq!(s.cap_cuts(), 0);
-    }
-
-    #[test]
-    fn compress_source_errors_at_segment_cap() {
-        use tsdata::series::RegularTimeSeries;
-        // 70k identical values form one logical segment longer than
-        // u16::MAX. The batch compressor keeps one model and splits at
-        // encode time; the streaming side would have to cut mid-segment
-        // (changing the fitted model), so byte-identity is impossible and
-        // the typed error replaces the old documented caveat.
-        let series = RegularTimeSeries::new(0, 60, vec![5.0; 70_000]).unwrap();
-        for method in [Method::Pmc, Method::Swing] {
-            let err = compress_source(&series, method, 0.1).unwrap_err();
-            assert!(matches!(err, CodecError::SegmentCap { .. }), "{method:?}: {err}");
-            // The batch side still compresses the same series fine.
-            let batch = method.compressor().compress(&series, 0.1).unwrap();
-            assert_eq!(batch.num_segments, 1, "{method:?}");
+            assert_eq!(streamed, chunked, "k={k}");
         }
     }
 }

@@ -16,12 +16,16 @@
 //! overhead the paper blames for Swing's low CR after gzip (§4.2): unlike
 //! PMC's snapped constants, slope/intercept pairs are unique and deflate
 //! poorly.
+//!
+//! The filter itself is [`StreamingSwing`], the one Swing encoder; this
+//! module holds the segment type and the frame format.
 
 use tsdata::series::RegularTimeSeries;
 
-use crate::codec::{check_epsilon, point_bound, CodecError, CompressedSeries, PeblcCompressor};
+use crate::codec::{check_epsilon, CodecError, CompressedSeries, PeblcCompressor};
 use crate::deflate;
 use crate::reader::ByteReader;
+use crate::streaming::{compress_run, StreamingSwing};
 use crate::timestamps;
 
 /// The Swing filter compressor.
@@ -46,81 +50,10 @@ impl SwingSegment {
     }
 }
 
-/// Runs the Swing filter over raw values, returning line segments.
-pub fn segment_values(values: &[f64], epsilon: f64) -> Vec<SwingSegment> {
-    let mut segments = Vec::new();
-    if values.is_empty() {
-        return segments;
-    }
-    let mut anchor = values[0];
-    let mut start = 0usize;
-    let mut slope_lo = f64::NEG_INFINITY;
-    let mut slope_hi = f64::INFINITY;
-
-    let mut i = 1usize;
-    while i < values.len() {
-        let v = values[i];
-        // Exact zeros have a zero bound under the relative-error model, so
-        // the reconstruction must hit them exactly. A zero-anchored
-        // zero-slope line represents runs of zeros; any other case forces
-        // a new segment anchored at the zero (a pinned nonzero slope would
-        // not survive single-precision coefficient storage).
-        if v == 0.0 && epsilon < 1.0 {
-            if anchor == 0.0 && slope_lo <= 0.0 && 0.0 <= slope_hi {
-                slope_lo = 0.0;
-                slope_hi = 0.0;
-            } else {
-                segments.push(close_segment(start, i, anchor, slope_lo, slope_hi));
-                anchor = v;
-                start = i;
-                slope_lo = f64::NEG_INFINITY;
-                slope_hi = f64::INFINITY;
-            }
-            i += 1;
-            continue;
-        }
-        let off = (i - start) as f64;
-        // Shrink the bound by the worst-case single-precision coefficient
-        // rounding (|Δanchor| + off·|Δslope|, with off·|slope| bounded by
-        // |v| + |anchor| + b), so the stored f32 line still satisfies the
-        // exact bound.
-        let b = point_bound(v, epsilon);
-        let margin = 2.0 * f32::EPSILON as f64 * (anchor.abs() + v.abs() + b);
-        let b_eff = b - margin;
-        let nlo = slope_lo.max((v - b_eff - anchor) / off);
-        let nhi = slope_hi.min((v + b_eff - anchor) / off);
-        if b_eff > 0.0 && nlo <= nhi {
-            slope_lo = nlo;
-            slope_hi = nhi;
-        } else {
-            segments.push(close_segment(start, i, anchor, slope_lo, slope_hi));
-            anchor = v;
-            start = i;
-            slope_lo = f64::NEG_INFINITY;
-            slope_hi = f64::INFINITY;
-        }
-        i += 1;
-    }
-    segments.push(close_segment(start, values.len(), anchor, slope_lo, slope_hi));
-    segments
-}
-
-fn close_segment(start: usize, end: usize, anchor: f64, lo: f64, hi: f64) -> SwingSegment {
-    let len = end - start;
-    let slope = if !lo.is_finite() || !hi.is_finite() {
-        // Single-point segment: any slope works; use 0.
-        0.0
-    } else {
-        // The mean of the surviving slope bounds, exactly as ModelarDB's
-        // Swing computes its coefficients (§3.2 "Implementations Used").
-        (lo + hi) / 2.0
-    };
-    SwingSegment { len, intercept: anchor, slope }
-}
-
 /// Serializes already-segmented Swing output into the deflated frame format
-/// `Swing::decompress` reads (the batch `compress` is `segment_values` plus
-/// this; the store re-encodes streamed segments through the same path).
+/// `Swing::decompress` reads. Every Swing frame — batch `compress`,
+/// `compress_source` and store chunk sealing — is [`StreamingSwing`] run
+/// to completion followed by this.
 pub fn encode_segments(
     start: i64,
     interval: i64,
@@ -160,12 +93,8 @@ impl PeblcCompressor for Swing {
         epsilon: f64,
     ) -> Result<CompressedSeries, CodecError> {
         check_epsilon(epsilon)?;
-        let segments = segment_values(series.values(), epsilon);
-        Ok(CompressedSeries {
-            method: self.name(),
-            bytes: encode_segments(series.start(), series.interval(), &segments)?,
-            num_segments: segments.len(),
-        })
+        let values = series.values().iter().copied();
+        compress_run(StreamingSwing::new(epsilon), values, series.start(), series.interval())
     }
 
     fn decompress(&self, compressed: &CompressedSeries) -> Result<RegularTimeSeries, CodecError> {
@@ -200,6 +129,11 @@ impl PeblcCompressor for Swing {
 mod tests {
     use super::*;
     use crate::codec::find_bound_violation;
+    use crate::streaming::{run_to_completion, StreamingPmc};
+
+    fn segments(values: &[f64], epsilon: f64) -> Vec<SwingSegment> {
+        run_to_completion(StreamingSwing::new(epsilon), values.iter().copied())
+    }
 
     fn series(values: Vec<f64>) -> RegularTimeSeries {
         RegularTimeSeries::new(0, 60, values).unwrap()
@@ -208,7 +142,7 @@ mod tests {
     #[test]
     fn perfect_line_is_one_segment() {
         let vals: Vec<f64> = (0..1000).map(|i| 5.0 + 0.25 * i as f64).collect();
-        let segs = segment_values(&vals, 0.01);
+        let segs = segments(&vals, 0.01);
         assert_eq!(segs.len(), 1);
         assert!((segs[0].slope - 0.25).abs() < 1e-9);
         assert!((segs[0].intercept - 5.0).abs() < 1e-12);
@@ -219,7 +153,7 @@ mod tests {
         // Odd values avoid exact zeros (which force their own re-anchor).
         let mut vals: Vec<f64> = (0..100).map(|i| 10.0 + i as f64).collect();
         vals.extend((0..100).map(|i| 111.0 - 2.0 * i as f64));
-        let segs = segment_values(&vals, 0.0001);
+        let segs = segments(&vals, 0.0001);
         assert_eq!(segs.len(), 2, "{segs:?}");
     }
 
@@ -227,7 +161,7 @@ mod tests {
     fn exact_zero_inside_segment_forces_reanchor() {
         // A ramp through zero: the zero point must reconstruct exactly.
         let vals: Vec<f64> = (0..21).map(|i| 10.0 - i as f64).collect();
-        let segs = segment_values(&vals, 0.05);
+        let segs = segments(&vals, 0.05);
         let rebuilt: Vec<f64> = segs.iter().flat_map(|s| s.values().collect::<Vec<_>>()).collect();
         assert_eq!(rebuilt[10], 0.0, "zero at index 10 must be exact");
     }
@@ -239,14 +173,14 @@ mod tests {
         let mut vals = vec![5.0, 4.0];
         vals.extend(vec![0.0; 100]);
         vals.extend([3.0, 4.0]);
-        let segs = segment_values(&vals, 0.1);
+        let segs = segments(&vals, 0.1);
         assert!(segs.len() <= 4, "{} segments for a zero run", segs.len());
     }
 
     #[test]
     fn anchor_is_exact_first_value() {
         let vals = vec![10.0, 12.0, 14.0, 100.0, 90.0];
-        let segs = segment_values(&vals, 0.05);
+        let segs = segments(&vals, 0.05);
         assert_eq!(segs[0].intercept, 10.0);
     }
 
@@ -270,8 +204,8 @@ mod tests {
         // Swing has the lowest segment counts).
         let vals: Vec<f64> =
             (0..4000).map(|i| (i as f64 * 0.01) * 10.0 + (i as f64 * 0.2).sin()).collect();
-        let swing = segment_values(&vals, 0.05).len();
-        let pmc = crate::pmc::segment_values(&vals, 0.05).len();
+        let swing = segments(&vals, 0.05).len();
+        let pmc = run_to_completion(StreamingPmc::new(0.05), vals.iter().copied()).len();
         assert!(swing < pmc, "swing {swing} vs pmc {pmc}");
     }
 

@@ -14,8 +14,10 @@
 //! 4. **Linear-scale quantization** of prediction residuals into
 //!    `2·RADIUS + 1` bins of width `2δ`; out-of-range points are stored
 //!    verbatim ("unpredictable", as in SZ).
-//! 5. **Entropy coding** of the quantization codes with canonical Huffman.
-//! 6. A final DEFLATE pass (SZ applies gzip last).
+//! 5. **Packing** of the zigzagged quantization codes through
+//!    [`crate::block`]'s lanes, where prediction keeps them narrow.
+//! 6. A final DEFLATE pass (SZ applies gzip last), whose Huffman stage
+//!    entropy-codes the packed codes.
 //!
 //! The quantization step is what makes SZ's output look piecewise-constant
 //! with short-interval fluctuations (paper Figure 1), and this
@@ -25,11 +27,9 @@ use std::sync::LazyLock;
 
 use tsdata::series::RegularTimeSeries;
 
-use crate::bitstream::{BitReader, BitWriter};
 use crate::block::{self, Bitset};
 use crate::codec::{check_epsilon, CodecError, CompressedSeries, PeblcCompressor};
 use crate::deflate;
-use crate::huffman::CanonicalCode;
 use crate::reader::ByteReader;
 use crate::timestamps;
 
@@ -42,12 +42,11 @@ const ESCAPE: usize = ALPHABET - 1;
 pub const BLOCK_SIZE: usize = 128;
 
 /// Wire modes, selected by the byte after the value count. Mode 0 stores
-/// raw values (ε = 0), mode 1 is the legacy Huffman-per-symbol format
-/// (still decoded, no longer written by [`Sz::compress`]), mode 2 packs
-/// zigzagged quantization codes through [`crate::block`]'s lanes and
-/// stores bitmaps in the word-backed LSB-first layout (DESIGN.md §11).
+/// raw values (ε = 0); mode 2 packs zigzagged quantization codes through
+/// [`crate::block`]'s lanes and stores bitmaps in the word-backed
+/// LSB-first layout (DESIGN.md §11). Mode 1, an earlier Huffman-coded
+/// layout, is retired and rejected like any unknown mode.
 const MODE_RAW: u8 = 0;
-const MODE_HUFFMAN: u8 = 1;
 const MODE_BLOCKED: u8 = 2;
 
 /// Escape marker in the blocked symbol stream: zigzagged codes occupy
@@ -196,34 +195,14 @@ fn select_predictor(
     best.expect("three candidates evaluated").1
 }
 
-fn read_bitmap(r: &mut ByteReader<'_>, n: usize, mode: u8) -> Result<Bitset, CodecError> {
+fn read_bitmap(r: &mut ByteReader<'_>, n: usize) -> Result<Bitset, CodecError> {
     let buf = r
         .read_bytes(n.div_ceil(8))
         .map_err(|_| CodecError::Corrupt(format!("{n}-point bitmap truncated")))?;
-    let set = if mode == MODE_HUFFMAN {
-        Bitset::from_msb_bytes(buf, n)
-    } else {
-        Bitset::from_le_bytes(buf, n)
-    };
-    set.map_err(|e| CodecError::Corrupt(e.to_string()))
+    Bitset::from_le_bytes(buf, n).map_err(|e| CodecError::Corrupt(e.to_string()))
 }
 
-/// Encodes `series` with the legacy mode-1 wire format (Huffman-coded
-/// symbols, MSB-first bitmaps). [`Sz::compress`] no longer writes this
-/// format, but old frames must stay decodable, so this writer is kept to
-/// feed the roundtrip tests and the fuzz corpus that prove it.
-pub fn compress_huffman(
-    series: &RegularTimeSeries,
-    epsilon: f64,
-) -> Result<CompressedSeries, CodecError> {
-    compress_impl(series, epsilon, MODE_HUFFMAN)
-}
-
-fn compress_impl(
-    series: &RegularTimeSeries,
-    epsilon: f64,
-    mode: u8,
-) -> Result<CompressedSeries, CodecError> {
+fn compress_impl(series: &RegularTimeSeries, epsilon: f64) -> Result<CompressedSeries, CodecError> {
     check_epsilon(epsilon)?;
     let values = series.values();
     let n = values.len();
@@ -241,7 +220,7 @@ fn compress_impl(
         let num_segments = constant_runs(values);
         return Ok(CompressedSeries { method: "SZ", bytes, num_segments });
     }
-    inner.push(mode);
+    inner.push(MODE_BLOCKED);
     inner.extend_from_slice(&epsilon.to_le_bytes());
 
     let mut zero = Bitset::with_len(n);
@@ -254,14 +233,8 @@ fn compress_impl(
             sign.set(i);
         }
     }
-    if mode == MODE_HUFFMAN {
-        // Byte-identical to the historical BitWriter-backed bitmaps.
-        inner.extend_from_slice(&zero.to_msb_bytes());
-        inner.extend_from_slice(&sign.to_msb_bytes());
-    } else {
-        inner.extend_from_slice(&zero.to_le_bytes());
-        inner.extend_from_slice(&sign.to_le_bytes());
-    }
+    inner.extend_from_slice(&zero.to_le_bytes());
+    inner.extend_from_slice(&sign.to_le_bytes());
 
     let logs: Vec<f64> = values.iter().filter(|&&v| v != 0.0).map(|&v| v.abs().ln()).collect();
     let delta = (1.0 + epsilon).ln();
@@ -301,42 +274,16 @@ fn compress_impl(
     inner.extend_from_slice(&(num_blocks as u32).to_le_bytes());
     inner.extend_from_slice(&block_meta);
 
-    if mode == MODE_HUFFMAN {
-        // Entropy-code the quantization codes.
-        if !all_syms.is_empty() {
-            let mut freqs = vec![0u64; ALPHABET];
-            for &sym in &all_syms {
-                freqs[sym as usize] += 1;
-            }
-            let code = CanonicalCode::from_freqs(&freqs)
-                .map_err(|e| CodecError::Corrupt(format!("huffman build: {e}")))?;
-            let mut w = BitWriter::with_capacity(ALPHABET * 4 + all_syms.len() * 12);
-            for &l in code.lengths() {
-                w.write_bits(l as u64, 4);
-            }
-            for &sym in &all_syms {
-                code.encode(sym as usize, &mut w);
-            }
-            let payload = w.into_bytes();
-            inner.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            inner.extend_from_slice(&payload);
-        } else {
-            inner.extend_from_slice(&0u32.to_le_bytes());
-        }
-    } else {
-        // Blocked packing: zigzag keeps near-zero quantization codes (the
-        // common case after prediction) in narrow lanes; the escape takes
-        // the first value past the zigzagged range. Self-delimiting, so no
-        // payload-length prefix.
-        let syms: Vec<u64> = all_syms
-            .iter()
-            .map(|&sym| match sym as usize {
-                ESCAPE => BLOCKED_ESCAPE,
-                s => block::zigzag(s as i64 - RADIUS),
-            })
-            .collect();
-        inner.extend_from_slice(&block::encode_u64s(&syms));
-    }
+    // Blocked packing: zigzag keeps near-zero quantization codes (the
+    // common case after prediction) in narrow lanes; the escape takes the
+    // first value past the zigzagged range. Self-delimiting, so no
+    // payload-length prefix. The widened codes are a temporary of this
+    // statement, so they are freed before the reconstruction below.
+    let syms = all_syms.iter().map(|&sym| match sym as usize {
+        ESCAPE => BLOCKED_ESCAPE,
+        s => block::zigzag(s as i64 - RADIUS),
+    });
+    inner.extend_from_slice(&block::encode_u64s(&syms.collect::<Vec<u64>>()));
 
     inner.extend_from_slice(&(unpredictable.len() as u32).to_le_bytes());
     inner.reserve(unpredictable.len() * 8);
@@ -362,7 +309,7 @@ impl PeblcCompressor for Sz {
         series: &RegularTimeSeries,
         epsilon: f64,
     ) -> Result<CompressedSeries, CodecError> {
-        compress_impl(series, epsilon, MODE_BLOCKED)
+        compress_impl(series, epsilon)
     }
 
     fn decompress(&self, compressed: &CompressedSeries) -> Result<RegularTimeSeries, CodecError> {
@@ -387,7 +334,7 @@ impl PeblcCompressor for Sz {
                 }
                 Ok(RegularTimeSeries::new(start, interval, values)?)
             }
-            mode @ (MODE_HUFFMAN | MODE_BLOCKED) => {
+            MODE_BLOCKED => {
                 let epsilon = r.read_f64_le()?;
                 // An honest encoder only writes bounds that passed
                 // `check_epsilon`; anything else poisons every value
@@ -396,8 +343,8 @@ impl PeblcCompressor for Sz {
                     return Err(CodecError::Corrupt(format!("invalid stored epsilon {epsilon}")));
                 }
                 let delta = (1.0 + epsilon).ln();
-                let zero = read_bitmap(&mut r, n, mode)?;
-                let sign = read_bitmap(&mut r, n, mode)?;
+                let zero = read_bitmap(&mut r, n)?;
+                let sign = read_bitmap(&mut r, n)?;
                 let nz = zero.count_zeros();
                 let num_blocks = r.read_u32_le()? as usize;
                 // The block partition is fully determined by `nz`; any
@@ -422,45 +369,24 @@ impl PeblcCompressor for Sz {
                     };
                     preds.push(pred);
                 }
-                // Quantization symbols, one per nonzero value.
-                let symbols = if mode == MODE_HUFFMAN {
-                    // Legacy: Huffman-coded behind a payload-length prefix.
-                    let paylen = r.read_u32_le()? as usize;
-                    let payload = r
-                        .read_bytes(paylen)
-                        .map_err(|_| CodecError::Corrupt("code stream truncated".into()))?;
-                    let mut symbols = Vec::with_capacity(payload.len().min(nz));
-                    if paylen > 0 {
-                        let mut bits = BitReader::new(payload);
-                        let code = CanonicalCode::read_lengths4(&mut bits, ALPHABET)
-                            .map_err(|e| CodecError::Corrupt(format!("huffman table: {e}")))?;
-                        for _ in 0..nz {
-                            let s = code
-                                .decode(&mut bits)
-                                .map_err(|e| CodecError::Corrupt(format!("code stream: {e}")))?;
-                            symbols.push(s);
-                        }
+                // Quantization symbols, one per nonzero value: a
+                // self-delimiting lane stream of zigzagged codes, translated
+                // to the shifted-symbol space. The loop consumes the raw
+                // codes, freeing them before the reconstruction below.
+                let raw = block::decode_u64s(&mut r)
+                    .map_err(|e| CodecError::Corrupt(format!("code stream: {e}")))?;
+                let mut symbols = Vec::with_capacity(raw.len());
+                for z in raw {
+                    if z == BLOCKED_ESCAPE {
+                        symbols.push(ESCAPE);
+                    } else if z < BLOCKED_ESCAPE {
+                        symbols.push((block::unzigzag(z) + RADIUS) as usize);
+                    } else {
+                        return Err(CodecError::Corrupt(format!(
+                            "quantization code {z} out of range"
+                        )));
                     }
-                    symbols
-                } else {
-                    // Blocked: self-delimiting lane stream of zigzagged
-                    // codes; translate to the shared shifted-symbol space.
-                    let raw = block::decode_u64s(&mut r)
-                        .map_err(|e| CodecError::Corrupt(format!("code stream: {e}")))?;
-                    let mut symbols = Vec::with_capacity(raw.len());
-                    for &z in &raw {
-                        if z == BLOCKED_ESCAPE {
-                            symbols.push(ESCAPE);
-                        } else if z < BLOCKED_ESCAPE {
-                            symbols.push((block::unzigzag(z) + RADIUS) as usize);
-                        } else {
-                            return Err(CodecError::Corrupt(format!(
-                                "quantization code {z} out of range"
-                            )));
-                        }
-                    }
-                    symbols
-                };
+                }
                 if symbols.len() != nz {
                     // A stream that cannot describe every nonzero value
                     // (this indexed out of bounds before decode went
@@ -754,31 +680,15 @@ mod tests {
         assert!(Sz.decompress(&truncated).is_err());
         // Flipping the mode byte inside is caught too.
         let inner = deflate::decompress(&c.bytes).unwrap();
-        let mut bad = inner.clone();
-        bad[10] = 9; // mode byte position: 6 header + 4 count
-        let frame =
-            CompressedSeries { method: "SZ", bytes: deflate::compress(&bad), num_segments: 0 };
-        assert!(Sz.decompress(&frame).is_err());
-    }
-
-    #[test]
-    fn legacy_huffman_mode_still_decodes() {
-        // Mode-1 frames (the pre-blocked wire format) must decompress to
-        // exactly what the blocked mode produces: the quantization
-        // pipeline is shared, only the serialization differs.
-        let mut vals = wavy(3000);
-        vals[7] = 0.0;
-        vals[100] = -vals[100];
-        vals[2999] = 0.0;
-        let s = series(vals.clone());
-        for eps in [0.01, 0.2] {
-            let legacy = compress_huffman(&s, eps).unwrap();
-            let blocked = Sz.compress(&s, eps).unwrap();
-            let dl = Sz.decompress(&legacy).unwrap();
-            let db = Sz.decompress(&blocked).unwrap();
-            assert_eq!(dl.values(), db.values(), "eps {eps}");
-            assert_eq!(legacy.num_segments, blocked.num_segments);
-            assert!(find_bound_violation(&vals, dl.values(), eps, 1e-9).is_none());
+        // Mode byte position: 6 header + 4 count. Mode 1 (the retired
+        // Huffman layout) is as unknown as mode 9.
+        for mode in [9, 1] {
+            let mut bad = inner.clone();
+            bad[10] = mode;
+            let frame =
+                CompressedSeries { method: "SZ", bytes: deflate::compress(&bad), num_segments: 0 };
+            let err = Sz.decompress(&frame).unwrap_err().to_string();
+            assert!(err.contains("unknown SZ mode"), "mode {mode}: {err}");
         }
     }
 

@@ -143,49 +143,21 @@ pub fn encode_stream_blocked(ts: &[i64]) -> Vec<u8> {
 
 /// Encodes with the varbit format unconditionally: one Gorilla-style
 /// prefix code per delta-of-delta ('0' for zero, then 7/9/12-bit windows,
-/// then a raw 64-bit escape). This is the scalar per-value-branch baseline
-/// the codecs bench measures the blocked format against.
+/// then a raw 64-bit escape), written by running a [`StreamAppender`] to
+/// completion. This is the scalar per-value-branch baseline the codecs
+/// bench measures the blocked format against.
 pub fn encode_stream_varbit(ts: &[i64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + ts.len());
-    out.push(STREAM_VARBIT);
-    out.extend_from_slice(&(ts.len() as u32).to_le_bytes());
-    if ts.is_empty() {
-        return out;
+    let mut appender = StreamAppender::with_capacity(ts.len());
+    for &t in ts {
+        appender.push(t);
     }
-    out.extend_from_slice(&ts[0].to_le_bytes());
-    let mut bits = BitWriter::with_capacity(ts.len() * 10);
-    let mut prev_delta = 0i64;
-    for pair in ts.windows(2) {
-        let d = pair[1].wrapping_sub(pair[0]);
-        let dod = d.wrapping_sub(prev_delta);
-        prev_delta = d;
-        if dod == 0 {
-            bits.write_bit(false);
-        } else if (-63..=64).contains(&dod) {
-            bits.write_bits(0b10, 2);
-            bits.write_bits((dod + 63) as u64, 7);
-        } else if (-255..=256).contains(&dod) {
-            bits.write_bits(0b110, 3);
-            bits.write_bits((dod + 255) as u64, 9);
-        } else if (-2047..=2048).contains(&dod) {
-            bits.write_bits(0b1110, 4);
-            bits.write_bits((dod + 2047) as u64, 12);
-        } else {
-            bits.write_bits(0b1111, 4);
-            bits.write_bits(dod as u64, 64);
-        }
-    }
-    let payload = bits.into_bytes();
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&payload);
-    out
+    appender.into_bytes()
 }
 
-/// Stateful point-at-a-time timestamp encoder for the store's append path.
-///
-/// Pushing timestamps one by one and finalizing yields bytes identical to
-/// [`encode_stream_varbit`] over the same vector (tested below), so sealed
-/// chunks decode through the ordinary [`decode_stream`].
+/// The varbit timestamp encoder: point-at-a-time delta-of-delta prefix
+/// codes. [`encode_stream_varbit`] runs it over a whole vector and the
+/// store appends one point at a time; both streams decode through the
+/// ordinary [`decode_stream`].
 #[derive(Debug, Clone)]
 pub struct StreamAppender {
     first: i64,
@@ -207,6 +179,12 @@ impl StreamAppender {
         StreamAppender { first: 0, prev: 0, prev_delta: 0, count: 0, bits: BitWriter::new() }
     }
 
+    /// Creates an empty appender sized for `timestamps` points (about 10
+    /// bits each on near-regular timelines).
+    pub(crate) fn with_capacity(timestamps: usize) -> Self {
+        StreamAppender { bits: BitWriter::with_capacity(timestamps * 10), ..Self::new() }
+    }
+
     /// Number of timestamps appended so far.
     pub fn len(&self) -> usize {
         self.count
@@ -218,6 +196,9 @@ impl StreamAppender {
     }
 
     /// Appends one timestamp (must be pushed in stream order).
+    // Inlined so `encode_stream_varbit` keeps the encoder state in
+    // registers instead of calling out per timestamp.
+    #[inline]
     pub fn push(&mut self, ts: i64) {
         if self.count == 0 {
             self.first = ts;
@@ -436,26 +417,6 @@ mod tests {
         hostile.extend_from_slice(&1u32.to_le_bytes());
         hostile.push(0x00);
         assert!(decode_stream(&mut ByteReader::new(&hostile)).is_err());
-    }
-
-    #[test]
-    fn appender_bytes_match_varbit_encoder() {
-        for n in [0usize, 1, 2, 63, 64, 129, 1000] {
-            let ts = sample_timestamps(n);
-            let mut a = StreamAppender::new();
-            for &t in &ts {
-                a.push(t);
-            }
-            assert_eq!(a.len(), n);
-            assert_eq!(a.into_bytes(), encode_stream_varbit(&ts), "n={n}");
-        }
-        // Extreme dods exercise the raw 64-bit escape.
-        let ts = vec![i64::MIN, i64::MAX, 0, -1, 1, i64::MAX / 2];
-        let mut a = StreamAppender::new();
-        for &t in &ts {
-            a.push(t);
-        }
-        assert_eq!(a.into_bytes(), encode_stream_varbit(&ts));
     }
 
     #[test]

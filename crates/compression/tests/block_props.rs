@@ -136,8 +136,8 @@ proptest! {
         }
     }
 
-    /// Bitset bit-indexing agrees with a Vec<bool> model, and both byte
-    /// layouts (LSB-first wire, MSB-first legacy) roundtrip.
+    /// Bitset bit-indexing agrees with a Vec<bool> model, and the LSB-first
+    /// wire layout roundtrips.
     #[test]
     fn bitset_matches_bool_model(
         len in 0usize..300,
@@ -157,8 +157,6 @@ proptest! {
         prop_assert_eq!(bs.count_zeros(), model.iter().filter(|&&b| !b).count());
         let le = Bitset::from_le_bytes(&bs.to_le_bytes(), len).unwrap();
         prop_assert_eq!(&le, &bs);
-        let msb = Bitset::from_msb_bytes(&bs.to_msb_bytes(), len).unwrap();
-        prop_assert_eq!(&msb, &bs);
     }
 
     /// Truncating a valid stream anywhere yields Err, never a panic and

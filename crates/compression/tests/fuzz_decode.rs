@@ -30,7 +30,7 @@ use compression::pmc::Pmc;
 use compression::ppa::Ppa;
 use compression::reader::ByteReader;
 use compression::swing::Swing;
-use compression::sz::{self, Sz};
+use compression::sz::Sz;
 use compression::{block, deflate, timestamps};
 use tsdata::series::RegularTimeSeries;
 
@@ -199,23 +199,6 @@ fn block_stream_mutations_never_panic() {
         }
     });
     assert!(total >= MIN_CASES, "only {total} block stream cases");
-}
-
-/// Mutated legacy SZ mode-1 frames (Huffman symbols, MSB-first bitmaps)
-/// must stay total through the same decoder that handles mode-2 frames.
-#[test]
-fn legacy_sz_mode_mutations_never_panic() {
-    let corpus: Vec<Vec<u8>> = corpus_series()
-        .iter()
-        .flat_map(|s| {
-            [0.01, 0.1].map(|eps| sz::compress_huffman(s, eps).expect("corpus encodes").bytes)
-        })
-        .collect();
-    let rounds = MIN_CASES.div_ceil(ALL_MUTATIONS.len() * corpus.len());
-    let total = sweep(&corpus, 0x52_1E6A, rounds, |buf, label| {
-        assert_total(&Sz, buf, label);
-    });
-    assert!(total >= MIN_CASES, "only {total} legacy SZ cases");
 }
 
 /// Empty and near-empty inputs are rejected, not sliced.

@@ -1,7 +1,8 @@
 //! End-to-end loopback tests for the serving stack: the bit-identity
 //! contract over real TCP for every model family, request coalescing +
-//! admission control under a gated model, registry LRU eviction, and
-//! protocol robustness against malformed frames.
+//! admission control under a gated model, registry LRU eviction,
+//! protocol robustness against malformed frames, and served compression
+//! of runs longer than the 16-bit segment-length field.
 
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -16,6 +17,7 @@ use serve::registry::{ModelEntry, ModelSpec, RegistryConfig};
 use serve::wire;
 use serve::{Client, ModelRegistry, SchedulerConfig, ServeConfig, ServeError, Server};
 use tsdata::datasets::{generate, DatasetKind, GenOptions, ALL_DATASETS};
+use tsdata::series::RegularTimeSeries;
 use tsdata::split::{split, SplitSpec};
 
 const INPUT_LEN: usize = 16;
@@ -405,6 +407,28 @@ fn malformed_and_unknown_requests_fail_cleanly() {
     match client.forecast(&spec, 99) {
         Err(ServeError::Model(msg)) => assert!(msg.contains("unknown model")),
         other => panic!("expected model error, got {other:?}"),
+    }
+    server.stop();
+}
+
+/// A stored series with a flat run longer than `u16::MAX` samples: the
+/// `compress` opcode must answer with exactly the batch frame of the same
+/// values, for PMC and Swing alike.
+#[test]
+fn compress_matches_batch_on_runs_longer_than_the_16bit_field() {
+    let registry = Arc::new(ModelRegistry::empty(RegistryConfig::default()));
+    let mut server = Server::start(ServeConfig::default(), registry).expect("server starts");
+    let mut client = Client::connect(server.local_addr()).expect("client connects");
+    let series = RegularTimeSeries::new(0, 60, vec![5.0; 70_000]).expect("regular");
+    let points: Vec<(i64, f64)> = (0..70_000).map(|i| (i * 60, 5.0)).collect();
+    assert_eq!(client.ingest(3, 0, 0.0, &points).expect("ingest succeeds"), 70_000);
+    for (tag, method) in [(1, compression::Method::Pmc), (2, compression::Method::Swing)] {
+        let (pts, segments, payload) =
+            client.compress(tag, 0.1, 3).unwrap_or_else(|e| panic!("{method:?}: {e}"));
+        let batch = method.compressor().compress(&series, 0.1).expect("batch encodes");
+        assert_eq!(pts, 70_000);
+        assert_eq!(segments as usize, batch.num_segments, "{method:?}");
+        assert!(payload == batch.bytes, "{method:?}: served frame differs from batch");
     }
     server.stop();
 }

@@ -14,7 +14,7 @@ use compression::gorilla::ValueAppender;
 use compression::pmc::PmcSegment;
 use compression::swing::SwingSegment;
 use compression::timestamps::StreamAppender;
-use compression::{Emit, PeblcCompressor, StreamingPmc, StreamingSwing, Sz};
+use compression::{PeblcCompressor, Segmenter, StreamingPmc, StreamingSwing, Sz};
 use tsdata::series::RegularTimeSeries;
 
 use crate::chunk::{ChunkCodec, SealedChunk};
@@ -73,16 +73,8 @@ impl ActiveChunk {
                 tenc.push(ts);
                 vals.push(value);
             }
-            Enc::Pmc { enc, segs } => {
-                if let Emit::Segment(s) = enc.push(value) {
-                    segs.push(s);
-                }
-            }
-            Enc::Swing { enc, segs } => {
-                if let Emit::Segment(s) = enc.push(value) {
-                    segs.push(s);
-                }
-            }
+            Enc::Pmc { enc, segs } => segs.extend(enc.push(value)),
+            Enc::Swing { enc, segs } => segs.extend(enc.push(value)),
             Enc::Sz { buf } => buf.push(value),
         }
     }
@@ -99,21 +91,11 @@ impl ActiveChunk {
                 (payload, 1)
             }
             Enc::Pmc { mut enc, mut segs } => {
-                // A cap-forced cut means the chunk's segmentation diverged
-                // from the batch compressor's, voiding the store's
-                // byte-identity contract — surface it instead of sealing a
-                // frame that silently differs from `Pmc::compress`.
-                if enc.cap_cuts() > 0 {
-                    return Err(compression::CodecError::SegmentCap { method: "PMC" }.into());
-                }
                 segs.extend(enc.drain());
                 let n = segs.len();
                 (compression::pmc::encode_segments(self.start_ts, interval, &segs)?, n)
             }
             Enc::Swing { mut enc, mut segs } => {
-                if enc.cap_cuts() > 0 {
-                    return Err(compression::CodecError::SegmentCap { method: "SWING" }.into());
-                }
                 segs.extend(enc.drain());
                 let n = segs.len();
                 (compression::swing::encode_segments(self.start_ts, interval, &segs)?, n)

@@ -484,23 +484,24 @@ mod tests {
     }
 
     #[test]
-    fn seal_errors_when_a_segment_hits_the_16bit_cap() {
+    fn chunks_longer_than_the_16bit_cap_seal_to_the_batch_frame() {
         // A seal policy lax enough to let one chunk exceed u16::MAX points
-        // can force the online encoder to cut a segment at the cap, which
-        // breaks the frame byte-identity contract with the batch codecs —
-        // sealing must surface the typed error, not silently diverge.
+        // puts a 70k-point logical segment in one chunk; its payload must
+        // still be exactly the batch codec's frame (the frame writer, not
+        // the encoder, splits the segment into 16-bit records).
         let store = TsStore::new(StoreConfig { max_chunk_points: 100_000, chunk_span: None });
-        let id = SeriesId(11);
-        store.create_series(id, ChunkCodec::Pmc, 0.1).unwrap();
-        store.append_batch(id, (0..70_000).map(|i| (i * 60, 5.0))).unwrap();
-        let err = store.seal_series(id).unwrap_err();
-        assert!(
-            matches!(err, StoreError::Codec(compression::CodecError::SegmentCap { method: "PMC" })),
-            "{err}"
-        );
-        // The default policy keeps every chunk under the cap, so the
-        // error is unreachable without an explicit config override.
-        assert!(StoreConfig::default().max_chunk_points <= u16::MAX as usize);
+        let series = RegularTimeSeries::new(0, 60, vec![5.0; 70_000]).unwrap();
+        for (k, codec) in [ChunkCodec::Pmc, ChunkCodec::Swing].into_iter().enumerate() {
+            let id = SeriesId(11 + k as u64);
+            store.ingest(id, codec, 0.1, &series).unwrap();
+            let view = store.read(id).unwrap();
+            let chunk = view.chunks().next().unwrap();
+            assert_eq!(view.num_chunks(), 1);
+            let method = codec.method().unwrap();
+            let batch = method.compressor().compress(&series, 0.1).unwrap();
+            assert_eq!(&chunk.to_bytes()[CHUNK_HEADER_LEN..], &batch.bytes[..], "{method:?}");
+            assert_eq!((chunk.num_segments(), batch.num_segments), (1, 1), "{method:?}");
+        }
     }
 
     #[test]
